@@ -21,7 +21,7 @@ def main():
 
     print("Dual modular P(h): level-function formula vs direct minimization")
     formula = olk.P_modular(phi, w, h)
-    direct = olk.P_modular_oracle(phi, w, h, starts=8, iters=200)
+    direct = olk.P_modular_oracle(phi, w, h)
     print(f"  level formula   P(h) = {formula:.12f}")
     print(f"  minimization    P(h) = {direct:.12f}")
     print(f"  relative difference  = {abs(formula - direct) / formula:.2e}")

@@ -8,8 +8,8 @@ where V, W are the running integrals of v and the weight.  The infimum is
 attained when v is the level function of h* with respect to w, which turns
 P into the finite sum  sum_j phi(R_j) W_j  over the maximal level intervals
 (ratio R_j, weight mass W_j).  `P_modular` evaluates that formula;
-`P_modular_oracle` minimizes the defining program directly by projected
-gradient descent so the two routes can be compared.
+`P_modular_oracle` minimizes the defining convex program directly with one
+SLSQP solve so the two routes can be compared.
 
 Norms of bounded functionals built from a dual element h and a singular
 part of norm s obey an asymmetric pair of formulas: against the Orlicz
@@ -112,37 +112,15 @@ def _pieces(h, weight):
     return values, caps
 
 
-def _project_prefix_polytope(vs, caps, *, cycles=80):
-    """Dykstra projection onto {v >= 0, cumsum(v) <= caps} along axis 1."""
-    n = vs.shape[1]
-    x = vs.copy()
-    increments = np.zeros((n + 1,) + vs.shape)
-    for _ in range(cycles):
-        moved = 0.0
-        y = x + increments[0]
-        proj = np.maximum(y, 0.0)
-        increments[0] = y - proj
-        moved = max(moved, float(np.max(np.abs(proj - x))))
-        x = proj
-        for k in range(1, n + 1):
-            y = x + increments[k]
-            excess = np.maximum(y[:, :k].sum(axis=1) - caps[k - 1], 0.0) / k
-            proj = y.copy()
-            proj[:, :k] -= excess[:, None]
-            increments[k] = y - proj
-            moved = max(moved, float(np.max(np.abs(proj - x))))
-            x = proj
-        if moved < 1e-14:
-            break
-    return np.maximum(x, 0.0)
-
-
-def P_modular_oracle(phi, weight, h, *, starts=24, iters=300, seed=0):
+def P_modular_oracle(phi, weight, h):
     """Value of the defining minimization for P, found numerically.
 
     Minimizes sum phi(H_i / v_i) v_i over piece masses v dominated by the
-    weight in running integral, by projected gradient descent with
-    multi-start.  Independent of the level-function route.
+    weight in running integral.  The program is convex, so one SLSQP solve
+    started from the weight mass of each piece finds its minimum.  The
+    solver's point is scaled back into the constraint set, so the value
+    returned is attained by a feasible v.  Independent of the level-function
+    route.
     """
     if not phi.is_n_function:
         raise DomainError("the dual modular requires an N-function")
@@ -152,75 +130,44 @@ def P_modular_oracle(phi, weight, h, *, starts=24, iters=300, seed=0):
     keep = h_mass > 0.0
     h_mass, caps = h_mass[keep], caps[keep]
     n = h_mass.size
+    # the unknowns are u = v / (weight mass of each piece): all of order one,
+    # which keeps SLSQP's steps and constraint residuals well scaled
+    w_masses = np.diff(np.concatenate(([0.0], caps)))
+    cum = np.tril(np.ones((n, n))) * w_masses
 
-    def objective(vs):
-        pos = vs > 0.0
-        ratio = np.where(pos, h_mass / np.maximum(vs, 1e-300), 0.0)
+    def objective(u):
+        v = w_masses * u
         with np.errstate(over="ignore"):
-            terms = np.where(pos, phi.value(ratio) * vs, math.inf)
-        return terms.sum(axis=1)
+            total = float(np.sum(phi.value(h_mass / v) * v))
+        return max(total, 1e-300)
 
-    def gradient(vs):
-        safe = np.maximum(vs, 1e-300)
-        x = h_mass / safe
+    # minimizing log(objective) has the same minimizer, with gradients of
+    # moderate size even when the gauge takes astronomically large values
+    def log_gradient(u):
+        x = h_mass / (w_masses * u)
         with np.errstate(over="ignore", invalid="ignore"):
             g = phi.value(x) - x * phi.derivative(x)
-        return np.where(np.isfinite(g), g, -1e300)
+        return np.where(np.isfinite(g), g, -1e300) * w_masses / objective(u)
 
-    rng = np.random.default_rng(seed)
-    w_masses = np.diff(np.concatenate(([0.0], caps)))
-    base = [w_masses.copy(), np.full(n, caps[-1] / n)]
-    for _ in range(max(starts - len(base), 0)):
-        base.append(w_masses * rng.uniform(0.2, 1.0, size=n))
-    vs = _project_prefix_polytope(np.array(base), caps)
-    best_vals = objective(vs)
-    best = vs.copy()
-    scale = float(np.mean(w_masses))
-    # per-start step so one badly scaled start cannot freeze the others
-    g0 = np.max(np.abs(gradient(vs)), axis=1, keepdims=True) + 1e-30
-    step0 = 0.5 * scale / g0
-    for t in range(iters):
-        step = step0 / math.sqrt(1.0 + t)
-        vs = _project_prefix_polytope(vs - step * gradient(vs), caps,
-                                      cycles=40)
-        vals = objective(vs)
-        improved = vals < best_vals
-        best_vals = np.where(improved, vals, best_vals)
-        best[improved] = vs[improved]
-    result = float(np.min(best_vals))
-
-    # sharpen the leading candidates with a constrained local solver
-    tri = np.tril(np.ones((n, n)))
-    floor = 1e-12 * max(float(caps[-1]), 1.0)
-    constraint = {"type": "ineq",
-                  "fun": lambda v: caps - tri @ v,
-                  "jac": lambda v: -tri}
-    # the polish minimizes log(objective): the same minimizer with gradients
-    # of moderate size even when the gauge takes astronomically large values
-    def log_objective(v):
-        return math.log(max(float(objective(v[None, :])[0]), 1e-300))
-
-    def log_gradient(v):
-        val = max(float(objective(v[None, :])[0]), 1e-300)
-        return gradient(v[None, :])[0] / val
-
-    order = np.argsort(best_vals)[:3]
-    for idx in order:
-        start = np.maximum(best[idx], 2.0 * floor)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            res = optimize.minimize(
-                log_objective,
-                start,
-                jac=log_gradient,
-                method="SLSQP",
-                bounds=[(floor, None)] * n,
-                constraints=[constraint],
-                options={"maxiter": 300, "ftol": 1e-14})
-        overflow = float(np.max(tri @ res.x - caps, initial=0.0))
-        if np.all(np.isfinite(res.x)) and overflow <= 1e-8 * (caps[-1] + 1.0):
-            result = min(result, float(objective(res.x[None, :])[0]))
-    return result
+    floor = 1e-12 * max(float(caps[-1]), 1.0) / w_masses
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = optimize.minimize(
+            lambda u: math.log(objective(u)),
+            np.maximum(1.0, 2.0 * floor),
+            jac=log_gradient,
+            method="SLSQP",
+            bounds=[(lo, None) for lo in floor],
+            constraints=[{"type": "ineq",
+                          "fun": lambda u: caps - cum @ u,
+                          "jac": lambda u: -cum}],
+            options={"maxiter": 300, "ftol": 1e-14})
+    running = cum @ res.x
+    if not (np.all(np.isfinite(res.x))
+            and np.max(running - caps) <= 1e-8 * (caps[-1] + 1.0)):
+        raise ConvergenceError(
+            "the minimizer left the running-sum constraint")
+    return objective(min(1.0, float(np.min(caps / running))) * res.x)
 
 
 # ---------------------------------------------------------------------------

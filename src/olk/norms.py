@@ -236,19 +236,16 @@ def orlicz_norm_amemiya(phi, weight, f, *, rel_tol=1e-10):
     if _is_zero(f):
         return 0.0
 
-    def objective(k):
-        value = rho_modular(phi, weight, f.scaled(k))
-        return (1.0 + value) / k if math.isfinite(value) else math.inf
+    def modular_at(k):
+        return rho_modular(phi, weight, f.scaled(k))
 
     try:
-        a, _, c = solvers.bracket_minimum(objective)
+        return solvers.amemiya_norm(modular_at, rel_tol=rel_tol)
     except ConvergenceError:
-        probe = objective(2.0**50)
+        probe = modular_at(2.0**50)
         if math.isfinite(probe):
-            return probe
+            return (1.0 + probe) / 2.0**50
         raise NotInSpaceError("no tested scaling has a finite modular")
-    _, value = solvers.golden_section_min(objective, a, c, rel_tol=rel_tol)
-    return value
 
 
 @dataclass(frozen=True)
@@ -347,13 +344,15 @@ def _ball_boundary_scale(conj, w_head, g):
     return lo
 
 
-def orlicz_norm_dual_sup_oracle(phi, weight, f, *, starts=12, seed=0):
+def orlicz_norm_dual_sup_oracle(phi, weight, f):
     """Lower-bound estimate of the Orlicz norm by direct maximization of
     sum f*(i) g(i) w(i) over decreasing g with conjugate modular at most 1.
 
-    Projected ascent with a monotonicity projection and multi-start; kept
-    independent of the scaling-constant theory so the two routes check each
-    other.
+    The program is convex, so one SLSQP solve started from the constant
+    sequence on the ball boundary finds its maximum.  The solver's point is
+    repaired to a nonincreasing one and rescaled onto the ball, so the value
+    returned is attained by a feasible g.  Kept independent of the
+    scaling-constant theory so the two routes check each other.
     """
     if not isinstance(f, FiniteSequence):
         raise DomainError("the supremum oracle works on finite sequences")
@@ -367,88 +366,31 @@ def orlicz_norm_dual_sup_oracle(phi, weight, f, *, starts=12, seed=0):
     w_head = weight.head(n)
     coeffs = values * w_head
     conj = phi.conjugate()
+    steps = np.eye(n) - np.eye(n, k=1)
 
-    def feasible(g):
-        return _ball_boundary_scale(conj, w_head, g) * g
+    def modular_slack(x):
+        return 1.0 - float(np.sum(conj.value(np.maximum(x, 0.0)) * w_head))
 
-    def ball(g):
-        return float(np.sum(conj.value(g) * w_head))
+    def modular_jac(x):
+        return -(conj.derivative(np.maximum(x, 0.0)) * w_head)
 
-    def coordinate_sweep(g):
-        g = g.copy()
-        for i in range(n):
-            others = ball(g) - float(conj.value(g[i]) * w_head[i])
-            budget = 1.0 - others
-            if budget <= 0.0:
-                continue
-            root = solvers.smallest_satisfying(
-                lambda x: float(conj.value(x)) * w_head[i] >= budget,
-                hint=max(g[i], 1e-6), rel_tol=1e-13)
-            cap = g[i - 1] if i else math.inf
-            g[i] = min(root, cap)
-        return g
-
-    def gradient_move(g, score):
-        best, best_score = g, score
-        step = max(1.0, score) / max(float(np.max(coeffs)), 1e-30)
-        for _ in range(10):
-            trial = solvers.project_nonincreasing(g + step * coeffs)
-            if float(np.sum(trial)) > 0.0:
-                trial = feasible(trial)
-                trial_score = float(coeffs @ trial)
-                if trial_score > best_score:
-                    best, best_score = trial, trial_score
-            step /= 2.0
-        return best, best_score
-
-    def polished(g):
-        steps = np.eye(n) - np.eye(n, k=1)
-
-        def modular_slack(x):
-            return 1.0 - float(np.sum(conj.value(np.maximum(x, 0.0))
-                                      * w_head))
-
-        def modular_jac(x):
-            return -(conj.derivative(np.maximum(x, 0.0)) * w_head)
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            res = optimize.minimize(
-                lambda x: -float(coeffs @ x), g, jac=lambda x: -coeffs,
-                method="SLSQP", bounds=[(0.0, None)] * n,
-                constraints=[
-                    {"type": "ineq", "fun": modular_slack,
-                     "jac": modular_jac},
-                    {"type": "ineq", "fun": lambda x: steps @ x,
-                     "jac": lambda x: steps},
-                ],
-                options={"maxiter": 300, "ftol": 1e-14})
-        repaired = solvers.project_nonincreasing(np.maximum(res.x, 0.0))
-        if float(np.sum(repaired)) <= 0.0:
-            return 0.0
-        repaired = feasible(repaired)
-        return float(coeffs @ repaired)
-
-    rng = np.random.default_rng(seed)
-    candidates = [np.ones(n), coeffs + 1e-9, np.eye(n)[0] + 1e-12]
-    for _ in range(max(starts - len(candidates), 0)):
-        draw = np.sort(rng.uniform(0.05, 1.0, size=n))[::-1]
-        candidates.append(draw)
-    best_overall = 0.0
-    for start in candidates:
-        g = feasible(np.asarray(start, dtype=float))
-        score = float(coeffs @ g)
-        for _ in range(200):
-            g = coordinate_sweep(g)
-            score_new = float(coeffs @ g)
-            g, score_new = gradient_move(g, score_new)
-            if score_new <= score * (1.0 + 1e-12):
-                score = max(score, score_new)
-                break
-            score = score_new
-        score = max(score, polished(g))
-        best_overall = max(best_overall, score)
-    return best_overall
+    start = _ball_boundary_scale(conj, w_head, np.ones(n)) * np.ones(n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        res = optimize.minimize(
+            lambda x: -float(coeffs @ x), start, jac=lambda x: -coeffs,
+            method="SLSQP", bounds=[(0.0, None)] * n,
+            constraints=[
+                {"type": "ineq", "fun": modular_slack, "jac": modular_jac},
+                {"type": "ineq", "fun": lambda x: steps @ x,
+                 "jac": lambda x: steps},
+            ],
+            options={"maxiter": 300, "ftol": 1e-14})
+    if not np.all(np.isfinite(res.x)):
+        raise ConvergenceError("the supremum solve left the finite range")
+    repaired = np.minimum.accumulate(np.maximum(res.x, 0.0))
+    return float(coeffs @ (_ball_boundary_scale(conj, w_head, repaired)
+                           * repaired))
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,6 @@ with concrete modulars.
 
 import math
 
-import numpy as np
-
 from .errors import ConvergenceError
 
 _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -128,33 +126,3 @@ def amemiya_norm(modular_at, *, rel_tol=1e-10):
     _, value = golden_section_min(objective, a, c, rel_tol=rel_tol)
     return value
 
-
-def project_nonincreasing(values):
-    """Least-squares projection onto the nonincreasing nonnegative cone.
-
-    Pool-adjacent-violators on the reversed order, then clip at zero.
-    """
-    x = np.asarray(values, dtype=float)
-    n = x.size
-    level = x.copy()
-    weight = np.ones(n)
-    idx = np.zeros(n, dtype=int)
-    j = -1
-    for i in range(n):
-        j += 1
-        level[j] = x[i]
-        weight[j] = 1.0
-        idx[j] = i
-        while j > 0 and level[j - 1] < level[j]:
-            total = weight[j - 1] + weight[j]
-            level[j - 1] = (weight[j - 1] * level[j - 1]
-                            + weight[j] * level[j]) / total
-            weight[j - 1] = total
-            j -= 1
-    out = np.empty(n)
-    start = 0
-    for k in range(j + 1):
-        end = idx[k + 1] if k + 1 <= j else n
-        out[start:end] = level[k]
-        start = end
-    return np.clip(out, 0.0, None)

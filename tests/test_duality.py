@@ -55,8 +55,21 @@ def test_dual_modular_matches_descent_oracle():
         formula = olk.P_modular(phi, w, h)
         if formula == 0.0 or not math.isfinite(formula):
             continue
-        direct = olk.P_modular_oracle(phi, w, h, starts=8, iters=120)
-        assert direct == pytest.approx(formula, rel=1e-5)
+        direct = olk.P_modular_oracle(phi, w, h)
+        assert direct == pytest.approx(formula, rel=1e-8)
+
+
+def test_descent_oracle_on_a_huge_exponential_modular():
+    # P is about 2.4e10 here, with piece weight masses from 0.016 to 0.23;
+    # SLSQP on the unscaled masses v stops about 2e-6 below the formula
+    phi = olk.ExpOrlicz()
+    w = olk.StepWeight(((1.875, 0.125), (math.inf, 0.0625)))
+    h = olk.StepFunction(((0.375, 0.375), (0.25, 0.4375), (2.625, 1.9375),
+                          (3.5, 0.125), (1.9375, 0.1875)))
+    formula = olk.P_modular(phi, w, h)
+    assert formula > 1e10
+    assert olk.P_modular_oracle(phi, w, h) == pytest.approx(formula,
+                                                            rel=1e-8)
 
 
 def test_dual_modular_convexity(quad_phi):
