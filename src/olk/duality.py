@@ -11,6 +11,12 @@ P into the finite sum  sum_j phi(R_j) W_j  over the maximal level intervals
 `P_modular_oracle` minimizes the defining convex program directly with one
 SLSQP solve so the two routes can be compared.
 
+Scaling h by c keeps the level intervals and multiplies every ratio by c,
+so the dual norms decompose h once per call and solve a scalar problem on
+the (R_j, W_j) arrays, P(c h) = sum_j phi(c R_j) W_j, with the ratios
+divided by the largest one so the solve starts inside its bracket at any
+magnitude.
+
 Norms of bounded functionals built from a dual element h and a singular
 part of norm s obey an asymmetric pair of formulas: against the Orlicz
 (Amemiya) norm the functional norm is the plain sum of the parts, while
@@ -35,7 +41,8 @@ from . import level as level_mod
 from . import solvers
 from .errors import (ConvergenceError, DomainError, InfeasibleParameterError,
                      NotInSpaceError)
-from .norms import luxemburg_norm, orlicz_norm_amemiya, rho_modular, _is_zero
+from .norms import (_finite_modular, _is_zero, _unit_scalings,
+                    luxemburg_norm, orlicz_norm_amemiya, rho_modular)
 from .rearrange import (FiniteSequence, SequenceWeight, StepFunction, Weight,
                         StepWeight)
 
@@ -51,9 +58,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # the dual modular through the level formula
 
-def P_modular(phi, weight, h):
-    """Dual modular of h: sum of phi(ratio) * weight mass over the maximal
-    level intervals of h* with respect to the weight."""
+def _level_masses(phi, weight, h):
+    """Ratios R_j (nonincreasing) and weight masses W_j of the maximal level
+    intervals of h* with respect to the weight; empty for the zero element.
+
+    Scaling h by c keeps the intervals and multiplies every ratio by c, so
+    one decomposition serves every scaling: P(c h) = sum phi(c R_j) W_j.
+    """
     if not phi.is_n_function:
         raise DomainError("the level formula for P requires an N-function")
     if isinstance(h, StepFunction):
@@ -61,22 +72,25 @@ def P_modular(phi, weight, h):
             raise DomainError("function elements need a function weight")
         canon = h.rearranged()
         if not canon.atoms:
-            return 0.0
+            return np.empty(0), np.empty(0)
         dec = level_mod.level_function(canon, weight)
     elif isinstance(h, FiniteSequence):
         if not isinstance(weight, SequenceWeight):
             raise DomainError("sequence elements need a sequence weight")
         canon = h.rearranged()
         if not canon.entries:
-            return 0.0
+            return np.empty(0), np.empty(0)
         dec = level_mod.level_sequence(canon, weight)
     else:
         raise DomainError("P is computed for finite elements")
-    total = 0.0
-    with np.errstate(over="ignore"):
-        for iv in dec.intervals:
-            total += float(phi.value(iv.ratio)) * iv.w_mass
-    return total if math.isfinite(total) else math.inf
+    return (np.array([iv.ratio for iv in dec.intervals]),
+            np.array([iv.w_mass for iv in dec.intervals]))
+
+
+def P_modular(phi, weight, h):
+    """Dual modular of h: sum of phi(ratio) * weight mass over the maximal
+    level intervals of h* with respect to the weight."""
+    return _finite_modular(phi, *_level_masses(phi, weight, h))
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +191,9 @@ def dual_luxemburg_norm(phi, weight, h, *, rel_tol=1e-12):
     """Gauge norm inf{eps : P(h / eps) <= 1} on the dual modular."""
     if _is_zero(h):
         return 0.0
+    P_at, scale = _unit_scalings(phi, *_level_masses(phi, weight, h))
     try:
-        return solvers.gauge_norm(lambda c: P_modular(phi, weight,
-                                                      h.scaled(c)),
-                                  rel_tol=rel_tol)
+        return scale * solvers.gauge_norm(P_at, rel_tol=rel_tol)
     except ConvergenceError as exc:
         raise NotInSpaceError("no tested scaling has P <= 1") from exc
 
@@ -189,9 +202,8 @@ def dual_orlicz_norm(phi, weight, h, *, rel_tol=1e-12):
     """Amemiya-form norm inf_k (1 + P(k h)) / k on the dual modular."""
     if _is_zero(h):
         return 0.0
-    return solvers.amemiya_norm(lambda k: P_modular(phi, weight,
-                                                    h.scaled(k)),
-                                rel_tol=rel_tol)
+    P_at, scale = _unit_scalings(phi, *_level_masses(phi, weight, h))
+    return scale * solvers.amemiya_norm(P_at, rel_tol=rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -381,12 +393,18 @@ def functional_norm_orlicz_side(phi, weight, h, s, *, rel_tol=1e-12):
     conj = phi.conjugate()
     if _is_zero(h) and s == 0.0:
         return 0.0
+    ratios, masses = _level_masses(conj, weight, h)
+    # lam lies between max(dual norm of h, s) and their sum, so lam / scale
+    # does not grow or shrink with the magnitude of (h, s) and the bisection
+    # starts inside its bracket
+    scale = max(float(ratios[0]) if ratios.size else 0.0, s)
+    unit, s_unit = ratios / scale, s / scale
 
-    def within(lam):
-        return P_modular(conj, weight, h.scaled(1.0 / lam)) + s / lam
+    def within(mu):
+        return _finite_modular(conj, unit / mu, masses) + s_unit / mu
 
-    return solvers.smallest_satisfying(lambda lam: within(lam) <= 1.0,
-                                       rel_tol=rel_tol)
+    return scale * solvers.smallest_satisfying(lambda mu: within(mu) <= 1.0,
+                                               rel_tol=rel_tol)
 
 
 def _check_singular_part(s):

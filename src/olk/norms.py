@@ -12,11 +12,18 @@ For N-functions the Amemiya infimum is attained on a compact interval of
 scaling constants K(f) = [k_lower, k_upper], located here by bisection on the
 conjugate-side modular of p(k f*).
 
-Finite elements evaluate exactly as weighted sums.  Parametric profiles are
-integrated by adaptive quadrature after a log substitution; whether the
-integral converges at its singular ends is decided first by a power-law
-exponent fit at three scales, which also drives the finiteness threshold
-theta(f) = inf{lam : modular(f / lam) < inf}.
+Finite elements evaluate exactly as weighted sums.  Each norm lays a finite
+element out once, as its decreasing values with the weight mass of each
+piece, divides the values by the largest one and solves a scalar problem
+on those arrays: the modular of c f is sum phi(c v_i) m_i, so no element
+is rebuilt inside a solver loop, and norms come back multiplied by the
+divisor, which keeps every solve inside its bracket at any magnitude.
+
+Parametric profiles are integrated by adaptive quadrature after a log
+substitution; whether the integral converges at its singular ends is
+decided first by a power-law exponent fit at three scales, which also
+drives the finiteness threshold theta(f) = inf{lam : modular(f / lam) <
+inf}.
 """
 
 import math
@@ -180,21 +187,29 @@ def _seq_profile_modular(phi, w, profile):
 # ---------------------------------------------------------------------------
 # public modular and norms
 
+def _finite_layout(weight, f):
+    """(values, weight masses) of a finite element, values decreasing;
+    None for a parametric profile."""
+    if isinstance(f, StepFunction):
+        if not isinstance(weight, Weight):
+            raise DomainError("function elements need a function weight")
+        values, _, w_masses = _step_layout(f, weight)
+        return values, w_masses
+    if isinstance(f, FiniteSequence):
+        if not isinstance(weight, SequenceWeight):
+            raise DomainError("sequence elements need a sequence weight")
+        return _seq_layout(f, weight)
+    return None
+
+
 def rho_modular(phi, weight, f):
     """Modular of f: integral (or sum) of phi(f*) against the weight.
 
     Returns math.inf when the integral diverges.
     """
-    if isinstance(f, StepFunction):
-        if not isinstance(weight, Weight):
-            raise DomainError("function elements need a function weight")
-        values, _, w_masses = _step_layout(f, weight)
-        return _finite_modular(phi, values, w_masses)
-    if isinstance(f, FiniteSequence):
-        if not isinstance(weight, SequenceWeight):
-            raise DomainError("sequence elements need a sequence weight")
-        values, w_head = _seq_layout(f, weight)
-        return _finite_modular(phi, values, w_head)
+    layout = _finite_layout(weight, f)
+    if layout is not None:
+        return _finite_modular(phi, *layout)
     if isinstance(f, DecreasingProfile):
         if not isinstance(weight, Weight):
             raise DomainError("function elements need a function weight")
@@ -214,14 +229,38 @@ def _is_zero(f):
     return False
 
 
+def _unit_scalings(phi, values, masses):
+    """(modular_at, scale) with scale = values[0], the largest value, and
+    modular_at(c) = sum phi(c values / scale) masses.
+
+    Norms of the layout are scale times norms of the layout divided by
+    scale, whose largest value is 1, so every solve starts inside its
+    bracket at any magnitude, and each solver step is one weighted sum.
+    """
+    scale = float(values[0])
+    unit = values / scale
+    return (lambda c: _finite_modular(phi, c * unit, masses)), scale
+
+
+def _scalings(phi, weight, f):
+    """(modular_at, scale) with modular_at(c) the modular of c f / scale.
+
+    A finite element is laid out once; a profile is rebuilt by f.scaled(c)
+    at each step, with scale 1.
+    """
+    layout = _finite_layout(weight, f)
+    if layout is None:
+        return (lambda c: rho_modular(phi, weight, f.scaled(c))), 1.0
+    return _unit_scalings(phi, *layout)
+
+
 def luxemburg_norm(phi, weight, f, *, rel_tol=1e-10):
     """Gauge norm inf{eps : modular(f / eps) <= 1}."""
     if _is_zero(f):
         return 0.0
+    modular_at, scale = _scalings(phi, weight, f)
     try:
-        return solvers.gauge_norm(lambda c: rho_modular(phi, weight,
-                                                        f.scaled(c)),
-                                  rel_tol=rel_tol)
+        return scale * solvers.gauge_norm(modular_at, rel_tol=rel_tol)
     except ConvergenceError as exc:
         raise NotInSpaceError(
             "no tested scaling has modular <= 1") from exc
@@ -235,16 +274,13 @@ def orlicz_norm_amemiya(phi, weight, f, *, rel_tol=1e-10):
     """
     if _is_zero(f):
         return 0.0
-
-    def modular_at(k):
-        return rho_modular(phi, weight, f.scaled(k))
-
+    modular_at, scale = _scalings(phi, weight, f)
     try:
-        return solvers.amemiya_norm(modular_at, rel_tol=rel_tol)
+        return scale * solvers.amemiya_norm(modular_at, rel_tol=rel_tol)
     except ConvergenceError:
         probe = modular_at(2.0**50)
         if math.isfinite(probe):
-            return (1.0 + probe) / 2.0**50
+            return scale * (1.0 + probe) / 2.0**50
         raise NotInSpaceError("no tested scaling has a finite modular")
 
 
@@ -284,7 +320,7 @@ def k_interval(phi, weight, f):
                                         hint=lower, rel_tol=1e-13,
                                         abs_tol=1e-12)
     mid = 0.5 * (lower + upper)
-    modular = rho_modular(phi, weight, f.scaled(mid))
+    modular = _finite_modular(phi, mid * values, masses)
     return KInterval(lower, upper, (1.0 + modular) / mid)
 
 

@@ -243,8 +243,10 @@ class NumericConjugate(OrliczFunction):
     """Conjugate computed from the base function's right derivative.
 
     value(v) solves p(u) >= v by bisection and returns u*v - phi(u);
-    derivative(v) is the generalized inverse sup{u : p(u) <= v}.  Used for
-    families without a closed-form partner.
+    derivative(v) is the generalized inverse sup{u : p(u) <= v}.  The
+    bisections of all entries of an array run in lockstep, one vectorised
+    call of the base derivative per step.  Used for families without a
+    closed-form partner.
     """
 
     base: OrliczFunction
@@ -252,36 +254,35 @@ class NumericConjugate(OrliczFunction):
     def __post_init__(self):
         self.is_n_function = self.base.is_n_function
 
-    def _argmax(self, v):
-        if v == 0.0:
-            return 0.0
-        try:
-            return solvers.smallest_satisfying(
-                lambda u: self.base.derivative(u) >= v,
-                rel_tol=self.base.tol_rel * 1e-4)
-        except ConvergenceError as exc:
-            raise ConvergenceError(
-                "conjugate undefined: the derivative never reaches "
-                f"{v:g}; the base function is not an N-function at infinity"
-            ) from exc
+    def _boundaries(self, targets, strict):
+        """Smallest u with p(u) > target (strict) or p(u) >= target, per
+        entry."""
+        def reached(u, idx):
+            slopes = self.base.derivative(u)
+            return slopes > targets[idx] if strict else slopes >= targets[idx]
+
+        return solvers.smallest_satisfying_each(
+            reached, targets.size, rel_tol=self.base.tol_rel * 1e-4)
 
     def value(self, v):
         arr = _as_array(v)
         flat = np.atleast_1d(arr).ravel()
-        out = np.empty_like(flat)
-        for i, entry in enumerate(flat):
-            u = self._argmax(entry)
-            out[i] = u * entry - self.base.value(u)
+        u = np.zeros_like(flat)
+        positive = flat != 0.0
+        try:
+            u[positive] = self._boundaries(flat[positive], strict=False)
+        except ConvergenceError as exc:
+            raise ConvergenceError(
+                "conjugate undefined: the derivative never reaches "
+                f"{flat.max():g}; the base function is not an N-function at "
+                "infinity") from exc
+        out = u * flat - self.base.value(u)
         return _like(out.reshape(np.shape(arr)), v)
 
     def derivative(self, v):
         arr = _as_array(v)
         flat = np.atleast_1d(arr).ravel()
-        out = np.empty_like(flat)
-        for i, entry in enumerate(flat):
-            out[i] = solvers.smallest_satisfying(
-                lambda u: self.base.derivative(u) > entry,
-                rel_tol=self.base.tol_rel * 1e-4)
+        out = self._boundaries(flat, strict=True)
         return _like(out.reshape(np.shape(arr)), v)
 
     def _build_conjugate(self):

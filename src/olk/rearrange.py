@@ -160,7 +160,10 @@ class LogTailProfile(DecreasingProfile):
                                   field="amplitude")
 
     def value(self, t):
-        return self.amplitude * np.log1p(1.0 / np.asarray(t, dtype=float))
+        # t = 0 or a subnormal t overflows 1/t to inf, and log1p(inf) = inf
+        # is the right value there
+        with np.errstate(divide="ignore", over="ignore"):
+            return self.amplitude * np.log1p(1.0 / np.asarray(t, dtype=float))
 
     def level_measure(self, lam):
         if lam <= 0.0:

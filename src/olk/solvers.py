@@ -1,11 +1,14 @@
 """Scalar solvers shared across the package.
 
-Monotone bisection, golden-section minimization, bracket expansion and the
-two norm engines (gauge and Amemiya style) that the norm modules instantiate
+Monotone bisection (also run element-wise over an array of predicates in
+lockstep), golden-section minimization, bracket expansion and the two norm
+engines (gauge and Amemiya style) that the norm modules instantiate
 with concrete modulars.
 """
 
 import math
+
+import numpy as np
 
 from .errors import ConvergenceError
 
@@ -44,6 +47,50 @@ def smallest_satisfying(predicate, *, hint=1.0, rel_tol=1e-10, abs_tol=0.0,
             hi = mid
         else:
             lo = mid
+    return hi
+
+
+def smallest_satisfying_each(predicate, size, *, rel_tol=1e-10):
+    """`smallest_satisfying` for `size` monotone predicates at once.
+
+    predicate(x, idx) returns a boolean array: whether predicate number
+    idx[k] holds at x[k], for each k.  All predicates walk their brackets
+    in lockstep and then bisect in lockstep, one predicate call per step,
+    with the scalar routine's arithmetic and its default hint, cap and
+    floor, so entry i of the result equals
+    smallest_satisfying(predicate i, rel_tol=rel_tol).  Raises
+    ConvergenceError if any predicate fails for every x <= CAP.
+    """
+    lo = np.ones(size)
+    down = predicate(lo, np.arange(size))
+    hi = np.where(down, lo, 2.0 * lo)
+    lo = np.where(down, 0.5 * lo, lo)
+    floored = np.zeros(size, dtype=bool)
+    walking = np.arange(size)
+    while walking.size:
+        d = down[walking]
+        sat = predicate(np.where(d, lo[walking], hi[walking]), walking)
+        shift_down = walking[d & sat]
+        hi[shift_down] = lo[shift_down]
+        lo[shift_down] *= 0.5
+        floored[shift_down] = lo[shift_down] < FLOOR
+        shift_up = walking[~d & ~sat]
+        lo[shift_up] = hi[shift_up]
+        hi[shift_up] *= 2.0
+        if np.any(hi[shift_up] > CAP):
+            raise ConvergenceError(
+                f"predicate not satisfied for any argument up to {CAP:g}")
+        walking = np.concatenate((shift_down[~floored[shift_down]],
+                                  shift_up))
+    while True:
+        wide = np.flatnonzero(~floored & (hi - lo > rel_tol * np.abs(hi)))
+        if not wide.size:
+            break
+        mid = 0.5 * (lo[wide] + hi[wide])
+        sat = predicate(mid, wide)
+        hi[wide[sat]] = mid[sat]
+        lo[wide[~sat]] = mid[~sat]
+    hi[floored] = FLOOR
     return hi
 
 

@@ -135,6 +135,74 @@ def test_gauge_norm_is_positively_homogeneous(c, seed):
     assert scaled == pytest.approx(c * base, rel=1e-8)
 
 
+FINITE_NORMS = (olk.luxemburg_norm, olk.orlicz_norm_amemiya,
+                olk.dual_luxemburg_norm, olk.dual_orlicz_norm)
+
+
+@pytest.mark.parametrize("x", [1e-200, 1e200])
+def test_finite_norms_hold_at_extreme_magnitudes(x):
+    # phi(t) = t^2, w_1 = 1: the gauge norms of (x,) are x, the Amemiya-form
+    # norms 2x, both far outside the solvers' [2^-60, 2^60] brackets
+    phi = olk.PowerOrlicz(2.0, 1.0)
+    w = olk.HarmonicSeqWeight()
+    f = olk.FiniteSequence((x,))
+    assert olk.luxemburg_norm(phi, w, f) == pytest.approx(x, rel=1e-9)
+    assert olk.orlicz_norm_amemiya(phi, w, f) == pytest.approx(2 * x,
+                                                               rel=1e-9)
+    assert olk.dual_luxemburg_norm(phi, w, f) == pytest.approx(x, rel=1e-9)
+    assert olk.dual_orlicz_norm(phi, w, f) == pytest.approx(2 * x, rel=1e-9)
+
+
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(exponent=st.floats(-150.0, 150.0), seed=st.integers(0, 10_000))
+def test_finite_norms_are_homogeneous_at_every_magnitude(exponent, seed):
+    rng = np.random.default_rng(seed)
+    phi = rand_phi(rng)
+    if int(rng.integers(0, 2)):
+        f, w = rand_step(rng), rand_step_weight(rng)
+    else:
+        f, w = rand_seq(rng), rand_seq_weight(rng)
+    s = float(dyadic(rng, 0.0, 2.0))
+    c = 10.0**exponent
+    for norm in FINITE_NORMS:
+        assert norm(phi, w, f.scaled(c)) == pytest.approx(
+            c * norm(phi, w, f), rel=1e-8)
+    assert olk.functional_norm_orlicz_side(
+        phi, w, f.scaled(c), c * s) == pytest.approx(
+            c * olk.functional_norm_orlicz_side(phi, w, f, s), rel=1e-8)
+
+
+@pytest.mark.parametrize("norm", FINITE_NORMS)
+@pytest.mark.parametrize("setting", ["step", "sequence"])
+def test_norms_lay_out_and_decompose_once(monkeypatch, norm, setting):
+    rng = np.random.default_rng(80)
+    if setting == "step":
+        f, w = rand_step(rng, max_atoms=40), rand_step_weight(rng)
+    else:
+        f, w = rand_seq(rng, max_len=40), rand_seq_weight(rng)
+    calls = {"rearranged": 0, "level": 0}
+
+    def counting(original, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for cls in (olk.StepFunction, olk.FiniteSequence):
+        monkeypatch.setattr(cls, "rearranged",
+                            counting(cls.rearranged, "rearranged"))
+    for name in ("level_function", "level_sequence"):
+        monkeypatch.setattr(olk.level, name,
+                            counting(getattr(olk.level, name), "level"))
+    counts = []
+    for rel_tol in (1e-4, 1e-12):
+        calls.update(rearranged=0, level=0)
+        norm(olk.PowerOrlicz(2.0, 0.5), w, f, rel_tol=rel_tol)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+    assert counts[0]["rearranged"] <= 2 and counts[0]["level"] <= 2
+
+
 def test_norm_sandwich_and_unit_ball():
     rng = np.random.default_rng(77)
     for _ in range(80):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import olk
-from olk.errors import DomainError, ValidationError
+from olk import solvers
+from olk.errors import ConvergenceError, DomainError, ValidationError
 
 from conftest import dyadic, rand_phi
 
@@ -143,6 +144,38 @@ def test_numeric_conjugate_matches_closed_forms():
         for u in (0.1, 0.5, 1.0, 2.0, 4.0):
             assert numeric.value(u) == pytest.approx(
                 closed.value(u), rel=1e-7, abs=1e-10)
+
+
+def test_numeric_conjugate_arrays_match_per_entry_bisection():
+    base = olk.FlatZeroOrlicz(0.4)
+    conj = olk.NumericConjugate(base)
+    v = np.array([0.0, 1e-300, 1e-5, 0.3, 1.0, 7.5, 1e3])
+    rel_tol = base.tol_rel * 1e-4
+
+    def boundary(target, strict):
+        if strict:
+            return solvers.smallest_satisfying(
+                lambda u: base.derivative(u) > target, rel_tol=rel_tol)
+        return solvers.smallest_satisfying(
+            lambda u: base.derivative(u) >= target, rel_tol=rel_tol)
+
+    # reference: one scalar solve per entry, to be matched bit for bit
+    argmax = [0.0 if x == 0.0 else boundary(x, False) for x in v]
+    values = [u * x - base.value(u) for u, x in zip(argmax, v)]
+    slopes = [boundary(x, True) for x in v]
+    assert np.array_equal(conj.value(v), np.array(values))
+    assert np.array_equal(conj.derivative(v), np.array(slopes))
+    assert conj.value(float(v[3])) == values[3]
+
+
+def test_numeric_conjugate_array_beyond_last_slope_raises():
+    conj = olk.NumericConjugate(
+        olk.TabulatedOrlicz(((0.0, 0.0), (1.0, 1.0), (2.0, 3.0))))
+    v = np.array([0.5, 1.5, 2.5])
+    with pytest.raises(ConvergenceError):
+        conj.value(v)
+    with pytest.raises(ConvergenceError):
+        conj.derivative(v)
 
 
 def test_double_conjugate_recovers_original():

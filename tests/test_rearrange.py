@@ -1,6 +1,7 @@
 """Decreasing rearrangements, measurable elements, and weights."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,17 @@ def test_log_tail_profile_values():
     assert f.value(t) == pytest.approx(2.0, rel=1e-12)
     assert f.level_measure(2.0) == pytest.approx(t, rel=1e-12)
     assert f.value(1.0) >= f.value(2.0)
+
+
+def test_log_tail_profile_at_zero_is_silent():
+    f = olk.LogTailProfile(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert f.value(0.0) == math.inf
+        assert f.value(5e-324) == math.inf
+        values = f.value(np.array([0.0, 1e-310, 1.0]))
+    assert values[0] == values[1] == math.inf
+    assert values[2] == pytest.approx(math.log(2.0), rel=1e-12)
 
 
 def test_power_tail_profile_values():
