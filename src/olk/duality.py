@@ -60,29 +60,31 @@ __all__ = [
 
 def _level_masses(phi, weight, h):
     """Ratios R_j (nonincreasing) and weight masses W_j of the maximal level
-    intervals of h* with respect to the weight; empty for the zero element.
+    intervals of h* with respect to the weight; empty for the zero element,
+    for which phi need not be an N-function.
 
     Scaling h by c keeps the intervals and multiplies every ratio by c, so
     one decomposition serves every scaling: P(c h) = sum phi(c R_j) W_j.
     """
-    if not phi.is_n_function:
-        raise DomainError("the level formula for P requires an N-function")
     if isinstance(h, StepFunction):
         if not isinstance(weight, Weight):
             raise DomainError("function elements need a function weight")
         canon = h.rearranged()
-        if not canon.atoms:
-            return np.empty(0), np.empty(0)
-        dec = level_mod.level_function(canon, weight)
+        decompose = level_mod.level_function
+        empty = not canon.atoms
     elif isinstance(h, FiniteSequence):
         if not isinstance(weight, SequenceWeight):
             raise DomainError("sequence elements need a sequence weight")
         canon = h.rearranged()
-        if not canon.entries:
-            return np.empty(0), np.empty(0)
-        dec = level_mod.level_sequence(canon, weight)
+        decompose = level_mod.level_sequence
+        empty = not canon.entries
     else:
         raise DomainError("P is computed for finite elements")
+    if empty:
+        return np.empty(0), np.empty(0)
+    if not phi.is_n_function:
+        raise DomainError("the level formula for P requires an N-function")
+    dec = decompose(canon, weight)
     return (np.array([iv.ratio for iv in dec.intervals]),
             np.array([iv.w_mass for iv in dec.intervals]))
 
@@ -90,7 +92,7 @@ def _level_masses(phi, weight, h):
 def P_modular(phi, weight, h):
     """Dual modular of h: sum of phi(ratio) * weight mass over the maximal
     level intervals of h* with respect to the weight."""
-    return _finite_modular(phi, *_level_masses(phi, weight, h))
+    return _finite_modular(phi.value, *_level_masses(phi, weight, h))
 
 
 # ---------------------------------------------------------------------------
@@ -189,21 +191,25 @@ def P_modular_oracle(phi, weight, h):
 
 def dual_luxemburg_norm(phi, weight, h, *, rel_tol=1e-12):
     """Gauge norm inf{eps : P(h / eps) <= 1} on the dual modular."""
-    if _is_zero(h):
+    P_at, scale = _unit_scalings(*_level_masses(phi, weight, h))
+    if scale == 0.0:
         return 0.0
-    P_at, scale = _unit_scalings(phi, *_level_masses(phi, weight, h))
     try:
-        return scale * solvers.gauge_norm(P_at, rel_tol=rel_tol)
+        return scale * solvers.gauge_norm(lambda c: P_at(phi.value, c),
+                                          rel_tol=rel_tol)
     except ConvergenceError as exc:
         raise NotInSpaceError("no tested scaling has P <= 1") from exc
 
 
 def dual_orlicz_norm(phi, weight, h, *, rel_tol=1e-12):
-    """Amemiya-form norm inf_k (1 + P(k h)) / k on the dual modular."""
-    if _is_zero(h):
+    """Amemiya-form norm inf_k (1 + P(k h)) / k on the dual modular, taken
+    where the Young side sum (k R_j p(k R_j) - phi(k R_j)) W_j crosses 1."""
+    P_at, scale = _unit_scalings(*_level_masses(phi, weight, h))
+    if scale == 0.0:
         return 0.0
-    P_at, scale = _unit_scalings(phi, *_level_masses(phi, weight, h))
-    return scale * solvers.amemiya_norm(P_at, rel_tol=rel_tol)
+    return scale * solvers.amemiya_norm(lambda k: P_at(phi.value, k),
+                                        lambda k: P_at(phi.young, k),
+                                        rel_tol=rel_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -391,20 +397,17 @@ def functional_norm_orlicz_side(phi, weight, h, s, *, rel_tol=1e-12):
     inf{lam : P(h / lam) + s / lam <= 1}."""
     _check_singular_part(s)
     conj = phi.conjugate()
-    if _is_zero(h) and s == 0.0:
-        return 0.0
     ratios, masses = _level_masses(conj, weight, h)
     # lam lies between max(dual norm of h, s) and their sum, so lam / scale
-    # does not grow or shrink with the magnitude of (h, s) and the bisection
+    # does not grow or shrink with the magnitude of (h, s) and the solve
     # starts inside its bracket
     scale = max(float(ratios[0]) if ratios.size else 0.0, s)
+    if scale == 0.0:
+        return 0.0
     unit, s_unit = ratios / scale, s / scale
-
-    def within(mu):
-        return _finite_modular(conj, unit / mu, masses) + s_unit / mu
-
-    return scale * solvers.smallest_satisfying(lambda mu: within(mu) <= 1.0,
-                                               rel_tol=rel_tol)
+    return scale * solvers.gauge_norm(
+        lambda c: _finite_modular(conj.value, c * unit, masses) + c * s_unit,
+        rel_tol=rel_tol)
 
 
 def _check_singular_part(s):

@@ -8,8 +8,12 @@ elements use sums.  Two norms are derived from it:
 * the Orlicz norm, computed through the Amemiya form
   inf_k (1 + modular(k f)) / k
 
-For N-functions the Amemiya infimum is attained on a compact interval of
-scaling constants K(f) = [k_lower, k_upper], located here by bisection on the
+The right derivative of the Amemiya objective in k is (Y(k) - 1) / k^2,
+with Y(k) the Young side, the modular of k f under t p(t) - phi(t) =
+phi*(p(t)).  Y does not decrease, so the infimum is attained on the compact
+interval K(f) = [k_lower, k_upper] where Y crosses 1 (Hudzik & Maligranda,
+Indag. Math. 2000); `orlicz_norm_amemiya` finds one such k as a root of Y,
+and `k_interval` locates both ends independently, as roots of the
 conjugate-side modular of p(k f*).
 
 Finite elements evaluate exactly as weighted sums.  Each norm lays a finite
@@ -36,6 +40,7 @@ from scipy import integrate, optimize
 from . import solvers
 from .errors import (ConvergenceError, DomainError, NotInSpaceError,
                      UndecidedError)
+from .orlicz import TabulatedOrlicz
 from .rearrange import (BandRestriction, DecreasingProfile,
                         DecreasingSeqProfile, FiniteSequence, SequenceWeight,
                         StepFunction, Weight, element_setting)
@@ -70,11 +75,11 @@ def _seq_layout(f, w):
     return values, w.head(values.size)
 
 
-def _finite_modular(phi, values, masses):
+def _finite_modular(psi, values, masses):
     if values.size == 0:
         return 0.0
     with np.errstate(over="ignore"):
-        terms = phi.value(values) * masses
+        terms = psi(values) * masses
     total = float(np.sum(terms))
     return total if math.isfinite(total) else math.inf
 
@@ -103,10 +108,10 @@ def _loglog_slope(sampler, scales):
     return float(slope)
 
 
-def _profile_diverges(phi, w, profile):
+def _profile_diverges(psi, w, profile):
     """Whether the modular integral of a function profile is infinite."""
     def g(t):
-        return float(phi.value(float(profile.rearranged_value(t)))
+        return float(psi(float(profile.rearranged_value(t)))
                      * w.value(t))
 
     head = _loglog_slope(g, (1e-4, 1e-5, 1e-6))
@@ -119,9 +124,9 @@ def _profile_diverges(phi, w, profile):
     return False
 
 
-def _seq_profile_diverges(phi, w, profile):
+def _seq_profile_diverges(psi, w, profile):
     def term(x):
-        return float(phi.value(float(profile.value(x))) * w.value_at_real(x))
+        return float(psi(float(profile.value(x))) * w.value_at_real(x))
 
     tail = _loglog_slope(term, (1e4, 1e5, 1e6))
     if tail is None:
@@ -129,10 +134,10 @@ def _seq_profile_diverges(phi, w, profile):
     return tail == math.inf or tail >= -1.0
 
 
-def _profile_modular(phi, w, profile):
+def _profile_modular(psi, w, profile):
     if w.gamma != math.inf and profile.support_measure > w.gamma:
         raise DomainError("profile support exceeds the weight domain")
-    if _profile_diverges(phi, w, profile):
+    if _profile_diverges(psi, w, profile):
         return math.inf
 
     def integrand(x):
@@ -144,7 +149,7 @@ def _profile_modular(phi, w, profile):
         r = float(profile.rearranged_value(t))
         if not math.isfinite(r):
             return 0.0
-        return float(phi.value(r)) * w.value(t) * t
+        return float(psi(r)) * w.value(t) * t
 
     supp = profile.support_measure
     top = math.inf if math.isinf(supp) else math.log(supp)
@@ -162,12 +167,12 @@ def _profile_modular(phi, w, profile):
     return total
 
 
-def _seq_profile_modular(phi, w, profile):
-    if _seq_profile_diverges(phi, w, profile):
+def _seq_profile_modular(psi, w, profile):
+    if _seq_profile_diverges(psi, w, profile):
         return math.inf
     idx = np.arange(1, _SEQ_HEAD + 1)
     with np.errstate(over="ignore"):
-        terms = phi.value(profile.value(idx)) * w.head(_SEQ_HEAD)
+        terms = psi(profile.value(idx)) * w.head(_SEQ_HEAD)
     head = float(np.sum(terms))
     if not math.isfinite(head):
         return math.inf
@@ -176,7 +181,7 @@ def _seq_profile_modular(phi, w, profile):
         if y > 700.0:
             return 0.0
         x = math.exp(y)
-        return float(phi.value(float(profile.value(x)))
+        return float(psi(float(profile.value(x)))
                      * w.value_at_real(x) * x)
 
     tail, _ = integrate.quad(term, math.log(_SEQ_HEAD + 0.5), math.inf,
@@ -207,17 +212,22 @@ def rho_modular(phi, weight, f):
 
     Returns math.inf when the integral diverges.
     """
+    return _modular(phi.value, weight, f)
+
+
+def _modular(psi, weight, f):
+    """rho_modular with the function psi evaluated where phi.value is."""
     layout = _finite_layout(weight, f)
     if layout is not None:
-        return _finite_modular(phi, *layout)
+        return _finite_modular(psi, *layout)
     if isinstance(f, DecreasingProfile):
         if not isinstance(weight, Weight):
             raise DomainError("function elements need a function weight")
-        return _profile_modular(phi, weight, f)
+        return _profile_modular(psi, weight, f)
     if isinstance(f, DecreasingSeqProfile):
         if not isinstance(weight, SequenceWeight):
             raise DomainError("sequence elements need a sequence weight")
-        return _seq_profile_modular(phi, weight, f)
+        return _seq_profile_modular(psi, weight, f)
     raise DomainError(f"unknown element type: {type(f).__name__}")
 
 
@@ -229,38 +239,43 @@ def _is_zero(f):
     return False
 
 
-def _unit_scalings(phi, values, masses):
+def _unit_scalings(values, masses):
     """(modular_at, scale) with scale = values[0], the largest value, and
-    modular_at(c) = sum phi(c values / scale) masses.
+    modular_at(psi, c) = sum psi(c values / scale) masses; scale is 0 for
+    an empty layout.
 
     Norms of the layout are scale times norms of the layout divided by
     scale, whose largest value is 1, so every solve starts inside its
     bracket at any magnitude, and each solver step is one weighted sum.
     """
+    if values.size == 0:
+        return None, 0.0
     scale = float(values[0])
     unit = values / scale
-    return (lambda c: _finite_modular(phi, c * unit, masses)), scale
+    return (lambda psi, c: _finite_modular(psi, c * unit, masses)), scale
 
 
-def _scalings(phi, weight, f):
-    """(modular_at, scale) with modular_at(c) the modular of c f / scale.
+def _scalings(weight, f):
+    """(modular_at, scale) with modular_at(psi, c) the modular of c f / scale
+    under psi, and scale 0 for the zero element.
 
     A finite element is laid out once; a profile is rebuilt by f.scaled(c)
     at each step, with scale 1.
     """
     layout = _finite_layout(weight, f)
     if layout is None:
-        return (lambda c: rho_modular(phi, weight, f.scaled(c))), 1.0
-    return _unit_scalings(phi, *layout)
+        return (lambda psi, c: _modular(psi, weight, f.scaled(c))), 1.0
+    return _unit_scalings(*layout)
 
 
 def luxemburg_norm(phi, weight, f, *, rel_tol=1e-10):
     """Gauge norm inf{eps : modular(f / eps) <= 1}."""
-    if _is_zero(f):
+    modular_at, scale = _scalings(weight, f)
+    if scale == 0.0:
         return 0.0
-    modular_at, scale = _scalings(phi, weight, f)
     try:
-        return scale * solvers.gauge_norm(modular_at, rel_tol=rel_tol)
+        return scale * solvers.gauge_norm(
+            lambda c: modular_at(phi.value, c), rel_tol=rel_tol)
     except ConvergenceError as exc:
         raise NotInSpaceError(
             "no tested scaling has modular <= 1") from exc
@@ -269,19 +284,27 @@ def luxemburg_norm(phi, weight, f, *, rel_tol=1e-10):
 def orlicz_norm_amemiya(phi, weight, f, *, rel_tol=1e-10):
     """Orlicz norm through the Amemiya form inf_k (1 + modular(k f)) / k.
 
-    For functions that are not N-functions at infinity the infimum may only
-    be approached as k grows; the value at the bracket cap is returned then.
+    The infimum is taken where the Young side, the modular of k f under
+    t p(t) - phi(t), crosses 1.  For a TabulatedOrlicz with final slope b
+    that side stays bounded; when it stays below 1 the objective decreases
+    in k for ever and the norm is its limit b * integral (or sum) of f* w,
+    computed exactly, not probed at a large k.
     """
-    if _is_zero(f):
+    modular_at, scale = _scalings(weight, f)
+    if scale == 0.0:
         return 0.0
-    modular_at, scale = _scalings(phi, weight, f)
     try:
-        return scale * solvers.amemiya_norm(modular_at, rel_tol=rel_tol)
+        value = solvers.amemiya_norm(lambda k: modular_at(phi.value, k),
+                                     lambda k: modular_at(phi.young, k),
+                                     rel_tol=rel_tol)
     except ConvergenceError:
-        probe = modular_at(2.0**50)
-        if math.isfinite(probe):
-            return scale * (1.0 + probe) / 2.0**50
+        if not isinstance(phi, TabulatedOrlicz):
+            raise
+        slope = float(phi.derivative(phi.knots[-1][0]))
+        return scale * slope * modular_at(lambda t: t, 1.0)
+    if math.isinf(value):
         raise NotInSpaceError("no tested scaling has a finite modular")
+    return scale * value
 
 
 @dataclass(frozen=True)
@@ -294,34 +317,33 @@ class KInterval:
 
 
 def k_interval(phi, weight, f):
-    """K(f) = [k_lower, k_upper] for an N-function, located by bisection on
-    the conjugate modular of p(k f*)."""
+    """K(f) = [k_lower, k_upper] for an N-function: where the conjugate
+    modular of p(k f*) turns >= 1 and > 1, each located by the root-finder
+    on the layout divided by its largest value."""
     if not phi.is_n_function:
         raise DomainError("K(f) requires an N-function")
-    if _is_zero(f):
+    layout = _finite_layout(weight, f)
+    if layout is None:
+        raise DomainError("K(f) is computed for finite elements")
+    values, masses = layout
+    if values.size == 0:
         raise DomainError("K(f) is undefined for the zero element")
     conj = phi.conjugate()
-    if isinstance(f, StepFunction):
-        values, _, masses = _step_layout(f, weight)
-    elif isinstance(f, FiniteSequence):
-        values, masses = _seq_layout(f, weight)
-    else:
-        raise DomainError("K(f) is computed for finite elements")
+    scale = float(values[0])
+    unit = values / scale
 
-    def conj_side(k):
-        with np.errstate(over="ignore"):
-            terms = conj.value(phi.derivative(k * values)) * masses
-        total = float(np.sum(terms))
-        return total if math.isfinite(total) else math.inf
+    def log_conj_side(k):
+        total = _finite_modular(lambda t: conj.value(phi.derivative(t)),
+                                k * unit, masses)
+        return math.log(total) if total > 0.0 else -math.inf
 
-    lower = solvers.smallest_satisfying(lambda k: conj_side(k) >= 1.0,
-                                        rel_tol=1e-13, abs_tol=1e-12)
-    upper = solvers.smallest_satisfying(lambda k: conj_side(k) > 1.0,
-                                        hint=lower, rel_tol=1e-13,
-                                        abs_tol=1e-12)
+    _, lower = solvers.increasing_root(log_conj_side, rel_tol=1e-13)
+    _, upper = solvers.increasing_root(log_conj_side, rel_tol=1e-13,
+                                       strict=True)
     mid = 0.5 * (lower + upper)
-    modular = _finite_modular(phi, mid * values, masses)
-    return KInterval(lower, upper, (1.0 + modular) / mid)
+    modular = _finite_modular(phi.value, mid * unit, masses)
+    return KInterval(lower / scale, upper / scale,
+                     scale * (1.0 + modular) / mid)
 
 
 def amemiya_pairing_report(phi, weight, f):
@@ -494,10 +516,12 @@ def theta(phi, weight, f, *, rel_tol=1e-3):
         return 0.0
     if isinstance(f, DecreasingProfile):
         def diverges(lam):
-            return _profile_diverges(phi, weight, f.scaled(1.0 / lam))
+            return _profile_diverges(phi.value, weight,
+                                     f.scaled(1.0 / lam))
     elif isinstance(f, DecreasingSeqProfile):
         def diverges(lam):
-            return _seq_profile_diverges(phi, weight, f.scaled(1.0 / lam))
+            return _seq_profile_diverges(phi.value, weight,
+                                         f.scaled(1.0 / lam))
     else:
         raise DomainError(f"unknown element type: {type(f).__name__}")
 

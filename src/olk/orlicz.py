@@ -62,6 +62,14 @@ class OrliczFunction:
         """Right derivative; nondecreasing and right-continuous."""
         raise NotImplementedError
 
+    def young(self, u):
+        """u p(u) - phi(u), which is phi*(p(u)) by Young's equality;
+        nondecreasing, and +inf where either term overflows."""
+        arr = _as_array(u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = arr * self.derivative(arr) - self.value(arr)
+        return _like(np.where(np.isnan(out), np.inf, out), u)
+
     def conjugate(self):
         """The convex conjugate as another OrliczFunction."""
         cached = self.__dict__.get("_conjugate_cache")
@@ -242,11 +250,12 @@ class TabulatedOrlicz(OrliczFunction):
 class NumericConjugate(OrliczFunction):
     """Conjugate computed from the base function's right derivative.
 
-    value(v) solves p(u) >= v by bisection and returns u*v - phi(u);
-    derivative(v) is the generalized inverse sup{u : p(u) <= v}.  The
-    bisections of all entries of an array run in lockstep, one vectorised
-    call of the base derivative per step.  Used for families without a
-    closed-form partner.
+    value(v) finds the smallest u with p(u) >= v and returns u*v - phi(u);
+    derivative(v) is the generalized inverse sup{u : p(u) <= v}, the
+    smallest u with p(u) > v.  Both solve log p(u) = log v with the
+    package's root-finder, all entries of an array in lockstep, one
+    vectorised call of the base derivative per step.  Used for families
+    without a closed-form partner.
     """
 
     base: OrliczFunction
@@ -257,12 +266,17 @@ class NumericConjugate(OrliczFunction):
     def _boundaries(self, targets, strict):
         """Smallest u with p(u) > target (strict) or p(u) >= target, per
         entry."""
-        def reached(u, idx):
-            slopes = self.base.derivative(u)
-            return slopes > targets[idx] if strict else slopes >= targets[idx]
+        with np.errstate(divide="ignore"):
+            log_targets = np.log(targets)
 
-        return solvers.smallest_satisfying_each(
-            reached, targets.size, rel_tol=self.base.tol_rel * 1e-4)
+        def excess(u, idx):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return np.log(self.base.derivative(u)) - log_targets[idx]
+
+        _, hi = solvers.increasing_roots(excess, targets.size,
+                                         rel_tol=self.base.tol_rel * 1e-4,
+                                         strict=strict)
+        return hi
 
     def value(self, v):
         arr = _as_array(v)
@@ -284,6 +298,11 @@ class NumericConjugate(OrliczFunction):
         flat = np.atleast_1d(arr).ravel()
         out = self._boundaries(flat, strict=True)
         return _like(out.reshape(np.shape(arr)), v)
+
+    def young(self, v):
+        """phi(q(v)), which Young's equality makes v q(v) - phi*(v): one
+        solve instead of the two that value and derivative take."""
+        return self.base.value(self.derivative(v))
 
     def _build_conjugate(self):
         return self.base

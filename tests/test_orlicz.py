@@ -146,26 +146,40 @@ def test_numeric_conjugate_matches_closed_forms():
                 closed.value(u), rel=1e-7, abs=1e-10)
 
 
-def test_numeric_conjugate_arrays_match_per_entry_bisection():
+def test_numeric_conjugate_arrays_match_per_entry_solves():
     base = olk.FlatZeroOrlicz(0.4)
     conj = olk.NumericConjugate(base)
     v = np.array([0.0, 1e-300, 1e-5, 0.3, 1.0, 7.5, 1e3])
     rel_tol = base.tol_rel * 1e-4
 
     def boundary(target, strict):
-        if strict:
-            return solvers.smallest_satisfying(
-                lambda u: base.derivative(u) > target, rel_tol=rel_tol)
-        return solvers.smallest_satisfying(
-            lambda u: base.derivative(u) >= target, rel_tol=rel_tol)
+        def excess(u, _):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                return (np.log(base.derivative(u))
+                        - np.log(np.array([target])))
+        _, hi = solvers.increasing_roots(excess, 1, rel_tol=rel_tol,
+                                         strict=strict)
+        return hi[0]
 
-    # reference: one scalar solve per entry, to be matched bit for bit
+    # reference: the size-1 solve per entry, to be matched bit for bit
     argmax = [0.0 if x == 0.0 else boundary(x, False) for x in v]
     values = [u * x - base.value(u) for u, x in zip(argmax, v)]
     slopes = [boundary(x, True) for x in v]
     assert np.array_equal(conj.value(v), np.array(values))
     assert np.array_equal(conj.derivative(v), np.array(slopes))
     assert conj.value(float(v[3])) == values[3]
+
+
+@pytest.mark.parametrize("cutoff", [0.3, 0.35, 0.4, 0.45])
+def test_numeric_conjugate_attains_young_equality(cutoff):
+    # phi(u) + phi*(p(u)) = u p(u) on the flat head, the quadratic tail and
+    # across the cutoff
+    base = olk.FlatZeroOrlicz(cutoff)
+    conj = olk.NumericConjugate(base)
+    u = np.logspace(-3.0, 3.0, 121)
+    slopes = base.derivative(u)
+    np.testing.assert_allclose(base.value(u) + conj.value(slopes),
+                               u * slopes, rtol=1e-10, atol=0.0)
 
 
 def test_numeric_conjugate_array_beyond_last_slope_raises():
