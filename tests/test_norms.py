@@ -215,9 +215,9 @@ FAMILIES = (olk.PowerOrlicz(2.5, 0.75), olk.ExpOrlicz(), olk.LogOrlicz(),
 @pytest.mark.parametrize("norm", FINITE_NORMS)
 @pytest.mark.parametrize("setting", ["step", "sequence"])
 def test_norms_take_few_modular_evaluations(monkeypatch, norm, setting):
-    # the root-finder needs at most 16 weighted sums per norm where fixed-step
-    # bisection took 35-38 and golden section 54-56; the dual norms run on
-    # the conjugate, as the dualnorm command does
+    # the root-finder needs at most 16 weighted sums per norm on smooth
+    # N-functions; the dual norms run on the conjugate, as the dualnorm
+    # command does
     evaluations = [0]
     real = olk.norms._finite_modular
 
