@@ -297,7 +297,10 @@ def orlicz_norm_amemiya(phi, weight, f, *, rel_tol=1e-10):
         value = solvers.amemiya_norm(lambda k: modular_at(phi.value, k),
                                      lambda k: modular_at(phi.young, k),
                                      rel_tol=rel_tol)
+    except UndecidedError:
+        raise
     except ConvergenceError:
+        # the Young side stayed below 1 up to the root-finder's cap
         if not isinstance(phi, TabulatedOrlicz):
             raise
         slope = float(phi.derivative(phi.knots[-1][0]))
