@@ -9,7 +9,8 @@ attained when v is the level function of h* with respect to w, which turns
 P into the finite sum  sum_j phi(R_j) W_j  over the maximal level intervals
 (ratio R_j, weight mass W_j).  `P_modular` evaluates that formula;
 `P_modular_oracle` minimizes the defining convex program directly with one
-SLSQP solve so the two routes can be compared.
+SLSQP solve so the two routes can be compared; it is the one place here
+that imports SciPy.
 
 Scaling h by c keeps the level intervals and multiplies every ratio by c,
 so the dual norms decompose h once per call and solve a scalar problem on
@@ -35,7 +36,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from . import level as level_mod
 from . import solvers
@@ -138,6 +138,7 @@ def P_modular_oracle(phi, weight, h):
     returned is attained by a feasible v.  Independent of the level-function
     route.
     """
+    from scipy import optimize
     if not phi.is_n_function:
         raise DomainError("the dual modular requires an N-function")
     if _is_zero(h):

@@ -27,7 +27,11 @@ Parametric profiles are integrated by adaptive quadrature after a log
 substitution; whether the integral converges at its singular ends is
 decided first by a power-law exponent fit at three scales, which also
 drives the finiteness threshold theta(f) = inf{lam : modular(f / lam) <
-inf}.
+inf}.  Their norms are solved on f / s, with s a representative value
+of f, as finite norms are on the layout divided by its largest value.
+
+SciPy is imported inside the quadrature and the dual-sup oracle only, so
+work on finite elements loads NumPy alone.
 """
 
 import math
@@ -35,7 +39,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 from . import solvers
 from .errors import (ConvergenceError, DomainError, NotInSpaceError,
@@ -135,6 +138,7 @@ def _seq_profile_diverges(psi, w, profile):
 
 
 def _profile_modular(psi, w, profile):
+    from scipy import integrate
     if w.gamma != math.inf and profile.support_measure > w.gamma:
         raise DomainError("profile support exceeds the weight domain")
     if _profile_diverges(psi, w, profile):
@@ -168,6 +172,7 @@ def _profile_modular(psi, w, profile):
 
 
 def _seq_profile_modular(psi, w, profile):
+    from scipy import integrate
     if _seq_profile_diverges(psi, w, profile):
         return math.inf
     idx = np.arange(1, _SEQ_HEAD + 1)
@@ -255,16 +260,27 @@ def _unit_scalings(values, masses):
     return (lambda psi, c: _finite_modular(psi, c * unit, masses)), scale
 
 
+def _profile_scale(f):
+    """A representative value of a profile: f*(t0) at t0 = 1, or at half
+    the support when that is shorter; the first entry of a sequence."""
+    if isinstance(f, DecreasingSeqProfile):
+        return float(f.value(1.0))
+    return float(f.rearranged_value(min(1.0, 0.5 * f.support_measure)))
+
+
 def _scalings(weight, f):
     """(modular_at, scale) with modular_at(psi, c) the modular of c f / scale
     under psi, and scale 0 for the zero element.
 
-    A finite element is laid out once; a profile is rebuilt by f.scaled(c)
-    at each step, with scale 1.
+    A finite element is laid out once; a profile is rebuilt by
+    f.scaled(c / scale) at each step, with scale a representative value
+    of f, so its solves too start near the answer at any magnitude.
     """
     layout = _finite_layout(weight, f)
     if layout is None:
-        return (lambda psi, c: _modular(psi, weight, f.scaled(c))), 1.0
+        scale = _profile_scale(f)
+        return ((lambda psi, c: _modular(psi, weight, f.scaled(c / scale))),
+                scale)
     return _unit_scalings(*layout)
 
 
@@ -415,6 +431,7 @@ def orlicz_norm_dual_sup_oracle(phi, weight, f):
     returned is attained by a feasible g.  Kept independent of the
     scaling-constant theory so the two routes check each other.
     """
+    from scipy import optimize
     if not isinstance(f, FiniteSequence):
         raise DomainError("the supremum oracle works on finite sequences")
     if _is_zero(f):

@@ -31,6 +31,8 @@ FLOOR = 2.0**-60
 
 # log2 of the probes of the bracket walk, taken from 1 toward CAP or FLOOR
 _WALK = (2.0, 4.0, 8.0, 16.0, 32.0, 60.0)
+# -log2 of the probes below FLOOR, for functions still satisfied there
+_DEEP = (120.0, 240.0, 480.0, 960.0)
 
 
 def smallest_satisfying(predicate, *, hint=1.0, rel_tol=1e-10, abs_tol=0.0,
@@ -72,17 +74,19 @@ def increasing_roots(fn, size, *, rel_tol=1e-10, strict=False):
     number idx[k].  Function i is satisfied at c when its value there is
     >= 0 (> 0 if strict); NaN counts as unsatisfied and infinite values
     are legal.  Each bracket is found by a walk from c = 1 through
-    c = 2^±2, 2^±4, ..., 2^±32, 2^±60 and narrowed by ITP in x = log2 c.
-    All functions step in lockstep, one call of fn per step on those whose
-    bracket is still open, and the arithmetic is element-wise, so entry i
-    of the result is what the call with size 1 returns for function i
-    alone.
+    c = 2^±2, 2^±4, ..., 2^±32, 2^±60, continued below FLOOR through
+    2^-120, 2^-240, 2^-480, 2^-960 for functions still satisfied there,
+    and narrowed by ITP in x = log2 c.  All functions step in lockstep,
+    one call of fn per step on those whose bracket is still open, and the
+    arithmetic is element-wise, so entry i of the result is what the call
+    with size 1 returns for function i alone.
 
     Returns arrays (lo, hi), the final brackets: function i is satisfied
     at hi[i] and not at lo[i], and hi[i] - lo[i] <= rel_tol * hi[i], so
     hi is the smallest satisfying argument to within rel_tol.  An entry
-    satisfied at FLOOR has lo = hi = FLOOR.  Raises ConvergenceError if a
-    function is not satisfied at CAP.
+    still satisfied at 2^-960 has lo = hi = 0, the infimum of its
+    satisfying arguments.  Raises ConvergenceError if a function is not
+    satisfied at CAP.
     """
     def satisfied(y):
         return y > 0.0 if strict else y >= 0.0
@@ -95,27 +99,32 @@ def increasing_roots(fn, size, *, rel_tol=1e-10, strict=False):
     fa = np.where(sat, np.nan, y)
     fb = np.where(sat, y, np.nan)
     down = sat
-    walking = np.arange(size)
-    for step in _WALK:
-        if not walking.size:
-            break
-        x = np.where(down[walking], -step, step)
-        y = fn(np.exp2(x), walking)
-        sat = satisfied(y)
-        now_b, now_a = walking[sat], walking[~sat]
-        b[now_b], fb[now_b] = x[sat], y[sat]
-        a[now_a], fa[now_a] = x[~sat], y[~sat]
-        walking = walking[sat == down[walking]]
-    if walking.size:
-        if not np.all(down[walking]):
-            raise ConvergenceError(
-                f"function not satisfied at any argument up to {CAP:g}")
-        a[walking] = b[walking]
+
+    def walk(steps, walking):
+        for step in steps:
+            if not walking.size:
+                break
+            x = np.where(down[walking], -step, step)
+            y = fn(np.exp2(x), walking)
+            sat = satisfied(y)
+            now_b, now_a = walking[sat], walking[~sat]
+            b[now_b], fb[now_b] = x[sat], y[sat]
+            a[now_a], fa[now_a] = x[~sat], y[~sat]
+            walking = walking[sat == down[walking]]
+        return walking
+
+    walking = walk(_WALK, np.arange(size))
+    if not np.all(down[walking]):
+        raise ConvergenceError(
+            f"function not satisfied at any argument up to {CAP:g}")
+    walking = walk(_DEEP, walking)
+    a[walking] = b[walking] = -np.inf
 
     # ITP with kappa1 = 0.1 / (initial width), kappa2 = 2, n0 = 2, on the
     # open brackets only; lo, hi, f_lo, f_hi, ... hold their entries idx
     tol = math.log2(1.0 + rel_tol)
-    idx = np.flatnonzero(b - a > tol)
+    with np.errstate(invalid="ignore"):
+        idx = np.flatnonzero(b - a > tol)
     lo, hi, f_lo, f_hi = a[idx], b[idx], fa[idx], fb[idx]
     n_max = np.ceil(np.log2((hi - lo) / tol)) + 2.0
     kappa = 0.1 / (hi - lo)
@@ -184,10 +193,15 @@ def amemiya_norm(modular_at, young_at, *, rel_tol=1e-10):
     sits where young_at crosses 1 (the K(f) condition of Hudzik and
     Maligranda).  The objective is evaluated at the satisfying end of the
     root's bracket, or at the other end where the modular is infinite
-    beyond the root.  Returns math.inf when both are infinite.  Raises
-    ConvergenceError when young_at stays below 1 up to CAP.
+    beyond the root.  Returns math.inf when both are infinite, or when
+    young_at is >= 1 at every probed k.  Raises ConvergenceError when
+    young_at stays below 1 up to CAP.
     """
     lo, hi = increasing_root(lambda k: _log(young_at(k)), rel_tol=rel_tol)
+    if hi == 0.0:
+        # the objective rises for all k > 0: its infimum is its limit
+        # 1 / k at k -> 0
+        return math.inf
     value = (1.0 + modular_at(hi)) / hi
     if math.isinf(value) and lo < hi:
         value = (1.0 + modular_at(lo)) / lo

@@ -13,7 +13,7 @@ writer used for all CLI output.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ValidationError
 from .orlicz import (ExpOrlicz, FlatZeroOrlicz, LogOrlicz, NumericConjugate,
@@ -42,7 +42,6 @@ class SpaceSpec:
     phi: OrliczFunction
     weight: object
     setting: str
-    tolerances: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -224,12 +223,7 @@ def parse_space(obj, path="space"):
     phi = parse_orlicz(_get(obj, "phi", path), f"{path}.phi")
     weight = parse_weight(_get(obj, "weight", path), f"{path}.weight",
                           setting=setting)
-    tolerances = _get(obj, "tolerances", path, {}, required=False)
-    if not isinstance(tolerances, dict):
-        _fail("expected an object", f"{path}.tolerances")
-    for key, raw in tolerances.items():
-        _number(raw, f"{path}.tolerances.{key}")
-    return SpaceSpec(phi, weight, setting, dict(tolerances))
+    return SpaceSpec(phi, weight, setting)
 
 
 # ---------------------------------------------------------------------------
@@ -300,12 +294,9 @@ def serialize_element(f):
 
 
 def serialize_space(spec):
-    out = {"setting": spec.setting,
-           "phi": serialize_orlicz(spec.phi),
-           "weight": serialize_weight(spec.weight)}
-    if spec.tolerances:
-        out["tolerances"] = dict(spec.tolerances)
-    return out
+    return {"setting": spec.setting,
+            "phi": serialize_orlicz(spec.phi),
+            "weight": serialize_weight(spec.weight)}
 
 
 # ---------------------------------------------------------------------------

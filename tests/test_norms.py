@@ -103,6 +103,31 @@ def test_sequence_norm_anchor(quad_phi):
         math.sqrt(2.0), rel=1e-9)
 
 
+ZETA_3 = 1.2020569031595942
+
+
+@pytest.mark.parametrize("c", [1e-25, 1e25])
+def test_profile_norms_are_homogeneous_at_extreme_magnitudes(c):
+    # phi(t) = t^2, so the gauge norm is sqrt(modular) and the Amemiya form
+    # twice that.  The band keeps 1/t on [1/2, 4], rearranged to 1/(s + 1/2)
+    # on [0, 7/2): against w = 2 on [0, 1), then 1, the modular is 37/12.
+    # The power tail 1/i against the harmonic weight has modular zeta(3).
+    phi = olk.PowerOrlicz(2.0, 1.0)
+    w = olk.StepWeight(((1.0, 2.0), (math.inf, 1.0)))
+    band = olk.BandRestriction(olk.PowerTailProfile(1.0, 1.0), 0.25, 2.0)
+    assert math.sqrt(37.0 / 12.0) == pytest.approx(1.7559422921, rel=1e-10)
+    assert olk.luxemburg_norm(phi, w, band.scaled(c)) / c == pytest.approx(
+        1.7559422921, rel=1e-8)
+    assert olk.orlicz_norm_amemiya(phi, w, band.scaled(c)) / c == \
+        pytest.approx(3.5118845843, rel=1e-8)
+    tail = olk.PowerSeqTail(1.0, 1.0).scaled(c)
+    hw = olk.HarmonicSeqWeight()
+    assert olk.luxemburg_norm(phi, hw, tail) / c == pytest.approx(
+        math.sqrt(ZETA_3), rel=1e-8)
+    assert olk.orlicz_norm_amemiya(phi, hw, tail) / c == pytest.approx(
+        2.0 * math.sqrt(ZETA_3), rel=1e-8)
+
+
 def test_log_tail_gauge_norm_frozen_value():
     phi = olk.ExpOrlicz()
     w = olk.StepWeight(((math.inf, 1.0),))

@@ -146,6 +146,42 @@ def test_numeric_conjugate_matches_closed_forms():
                 closed.value(u), rel=1e-7, abs=1e-10)
 
 
+@pytest.mark.parametrize("r", [1.5, 2.0, 3.0])
+def test_numeric_conjugate_matches_closed_form_at_tiny_arguments(r):
+    # the maximiser q(v) lies far below 2^-60 (down to about 1e-200), where
+    # the root-finder's walk goes on instead of returning its floor
+    phi = olk.PowerOrlicz(r, 0.5)
+    numeric, closed = olk.NumericConjugate(phi), phi.conjugate()
+    for v in (1e-30, 1e-60, 1e-100):
+        assert numeric.value(v) == pytest.approx(closed.value(v), rel=1e-8,
+                                                 abs=0.0)
+        assert numeric.derivative(v) == pytest.approx(closed.derivative(v),
+                                                      rel=1e-8, abs=0.0)
+
+
+@pytest.mark.parametrize("r", [1.5, 2.0])
+def test_numeric_conjugate_derivative_at_zero_is_zero(r):
+    # sup{u : p(u) <= 0} = 0 while p stays positive in floating point down
+    # to the last probe 2^-960; for r = 3, p(u) = 1.5 u^2 underflows to 0
+    # below about 1e-162, so the floating-point answer lies there instead
+    numeric = olk.NumericConjugate(olk.PowerOrlicz(r, 0.5))
+    assert numeric.derivative(0.0) == 0.0
+    assert numeric.young(0.0) == 0.0
+    assert numeric.value(0.0) == 0.0
+
+
+def test_increasing_roots_walk_below_the_floor():
+    roots = np.array([2.0**-100, 2.0**-700, 0.0, 0.75])
+    lo, hi = solvers.increasing_roots(lambda c, idx: c - roots[idx], 4)
+    assert hi[:2] == pytest.approx(roots[:2], rel=1e-10, abs=0.0)
+    assert np.all(lo[:2] < roots[:2])
+    # satisfied at every probe: the infimum 0, not a positive floor
+    assert lo[2] == hi[2] == 0.0
+    assert hi[3] == pytest.approx(0.75, rel=1e-10)
+    # an Amemiya objective that rises for every k has infimum +inf at 0
+    assert solvers.amemiya_norm(lambda k: 0.0, lambda k: 2.0) == math.inf
+
+
 def test_numeric_conjugate_arrays_match_per_entry_solves():
     base = olk.FlatZeroOrlicz(0.4)
     conj = olk.NumericConjugate(base)

@@ -94,13 +94,23 @@ def test_space_round_trip():
         phi=olk.PowerOrlicz(2.0, 0.5),
         weight=olk.StepWeight(((2.0, 2.0), (math.inf, 0.5))),
         setting="function",
-        tolerances={},
     )
     data = specio.serialize_space(spec)
     back = olk.parse_space(json.loads(specio.dumps(data)))
     assert back.setting == "function"
     assert type(back.phi) is olk.PowerOrlicz
     assert back.weight.pieces == spec.weight.pieces
+
+
+def test_space_files_with_a_tolerances_key_still_parse():
+    # the key was once parsed and never read; it is now ignored like any
+    # other unknown key
+    data = {"setting": "sequence", "phi": {"family": "exp"},
+            "weight": {"kind": "harmonic"}, "tolerances": {"rel": 1e-9}}
+    spec = olk.parse_space(data)
+    assert specio.serialize_space(spec) == {
+        "setting": "sequence", "phi": {"family": "exp"},
+        "weight": {"kind": "harmonic"}}
 
 
 # ---------------------------------------------------------------------------
