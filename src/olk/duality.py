@@ -12,6 +12,13 @@ P into the finite sum  sum_j phi(R_j) W_j  over the maximal level intervals
 SLSQP solve so the two routes can be compared; it is the one place here
 that imports SciPy.
 
+Every finite element is read through the layout of
+`rearrange.finite_layout`: h* split at the weight's breakpoints.  The dual
+modulars, the dual norms and the Young witness run the level module's one
+pool-adjacent-violators merge on its pieces; the oracle shares only the
+piece list with them, never the merge.  The rearranged pairing cuts the
+shorter of two step supports at the other's edges with the same splitter.
+
 Scaling h by c keeps the level intervals and multiplies every ratio by c,
 so the dual norms decompose h once per call and solve a scalar problem on
 the (R_j, W_j) arrays, P(c h) = sum_j phi(c R_j) W_j, with the ratios
@@ -41,10 +48,10 @@ from . import level as level_mod
 from . import solvers
 from .errors import (ConvergenceError, DomainError, InfeasibleParameterError,
                      NotInSpaceError)
-from .norms import (_finite_modular, _is_zero, _unit_scalings,
-                    luxemburg_norm, orlicz_norm_amemiya, rho_modular)
-from .rearrange import (FiniteSequence, SequenceWeight, StepFunction, Weight,
-                        StepWeight)
+from .norms import (_finite_modular, _unit_scalings, luxemburg_norm,
+                    orlicz_norm_amemiya, rho_modular)
+from .rearrange import (FiniteSequence, SequenceWeight, StepFunction,
+                        StepWeight, _split, _step_cuts, finite_layout)
 
 __all__ = [
     "YoungWitness", "FunctionalNormReport", "P_modular", "P_modular_oracle",
@@ -66,27 +73,11 @@ def _level_masses(phi, weight, h):
     Scaling h by c keeps the intervals and multiplies every ratio by c, so
     one decomposition serves every scaling: P(c h) = sum phi(c R_j) W_j.
     """
-    if isinstance(h, StepFunction):
-        if not isinstance(weight, Weight):
-            raise DomainError("function elements need a function weight")
-        canon = h.rearranged()
-        decompose = level_mod.level_function
-        empty = not canon.atoms
-    elif isinstance(h, FiniteSequence):
-        if not isinstance(weight, SequenceWeight):
-            raise DomainError("sequence elements need a sequence weight")
-        canon = h.rearranged()
-        decompose = level_mod.level_sequence
-        empty = not canon.entries
-    else:
-        raise DomainError("P is computed for finite elements")
-    if empty:
-        return np.empty(0), np.empty(0)
-    if not phi.is_n_function:
+    layout = finite_layout(h.rearranged(), weight)
+    if layout.values.size and not phi.is_n_function:
         raise DomainError("the level formula for P requires an N-function")
-    dec = decompose(canon, weight)
-    return (np.array([iv.ratio for iv in dec.intervals]),
-            np.array([iv.w_mass for iv in dec.intervals]))
+    blocks = np.array(level_mod._level_blocks(layout)).reshape(-1, 4)
+    return blocks[:, 2] / blocks[:, 3], blocks[:, 3]
 
 
 def P_modular(phi, weight, h):
@@ -98,36 +89,6 @@ def P_modular(phi, weight, h):
 # ---------------------------------------------------------------------------
 # direct minimization oracle
 
-def _pieces(h, weight):
-    """Constant-value pieces of h* refined at weight breakpoints.
-
-    Returns (h_masses, w_caps) where w_caps are the running weight
-    integrals at the piece right endpoints.
-    """
-    if isinstance(h, StepFunction):
-        canon = h.rearranged()
-        values = [v for v, _ in canon.atoms]
-        cuts = np.cumsum([m for _, m in canon.atoms])
-        end = float(cuts[-1])
-        grid = sorted({float(c) for c in cuts}
-                      | {b for b in weight.breakpoints() if b < end})
-        masses, rights = [], []
-        left = 0.0
-        k = 0
-        for right in grid:
-            while cuts[k] <= left + 1e-18:
-                k += 1
-            masses.append(values[k] * (right - left))
-            rights.append(right)
-            left = right
-        caps = weight.cumulative(np.array(rights))
-        return np.array(masses), np.asarray(caps, dtype=float)
-    canon = h.rearranged()
-    values = np.array(canon.entries)
-    caps = np.cumsum(weight.head(values.size))
-    return values, caps
-
-
 def P_modular_oracle(phi, weight, h):
     """Value of the defining minimization for P, found numerically.
 
@@ -136,17 +97,18 @@ def P_modular_oracle(phi, weight, h):
     started from the weight mass of each piece finds its minimum.  The
     solver's point is scaled back into the constraint set, so the value
     returned is attained by a feasible v.  Independent of the level-function
-    route.
+    route: it shares the pieces of the layout, not the merge.
     """
     from scipy import optimize
     if not phi.is_n_function:
         raise DomainError("the dual modular requires an N-function")
-    if _is_zero(h):
-        return 0.0
-    h_mass, caps = _pieces(h, weight)
+    layout = finite_layout(h.rearranged(), weight)
+    h_mass = layout.h_masses
     keep = h_mass > 0.0
-    h_mass, caps = h_mass[keep], caps[keep]
+    h_mass, caps = h_mass[keep], layout.cumulative[1:][keep]
     n = h_mass.size
+    if n == 0:
+        return 0.0
     # the unknowns are u = v / (weight mass of each piece): all of order one,
     # which keeps SLSQP's steps and constraint residuals well scaled
     w_masses = np.diff(np.concatenate(([0.0], caps)))
@@ -253,33 +215,12 @@ def _witness_layout(h):
     raise DomainError("the witness is built for finite elements")
 
 
-def _ratio_by_value(dec, canon):
-    """Map each distinct element value to the ratio of its level interval."""
-    out = {}
-    if isinstance(canon, StepFunction):
-        cuts = np.concatenate(([0.0], np.cumsum([m for _, m in canon.atoms])))
-        spans = list(zip([v for v, _ in canon.atoms], cuts, cuts[1:]))
-    else:
-        spans = [(v, float(i), float(i + 1))
-                 for i, v in enumerate(canon.entries)]
-    for value, left, right in spans:
-        home = None
-        for iv in dec.intervals:
-            if iv.lower <= left + 1e-12 and right <= iv.upper + 1e-12:
-                home = iv
-                break
-        if home is None:
-            raise ConvergenceError(
-                "level interval endpoints strayed from value boundaries")
-        out[value] = home.ratio
-    return out
-
-
 def young_witness(phi, weight, h):
     """Build the optimal competitor v for P over h and check both equalities.
 
     v is constant on each piece of h, equal to the value divided by the
-    ratio of the level interval containing that piece in rearranged order.
+    ratio of the level interval containing that piece in rearranged order;
+    each piece of the layout finds its interval by its index in the merge.
     """
     if not phi.is_n_function:
         raise DomainError("the witness requires an N-function")
@@ -288,13 +229,17 @@ def young_witness(phi, weight, h):
     if not values:
         raise DomainError("the witness is undefined for the zero element")
     sequence = isinstance(h, FiniteSequence)
-    canon = (FiniteSequence(tuple(values)) if sequence else
-             StepFunction(tuple(zip(values, masses)), h.gamma)).rearranged()
-    if sequence:
-        dec = level_mod.level_sequence(canon, weight)
-    else:
-        dec = level_mod.level_function(canon, weight)
-    ratio_of = _ratio_by_value(dec, canon)
+    canon = h.rearranged()
+    layout = finite_layout(canon, weight)
+    blocks = level_mod._level_blocks(layout)
+    dec = level_mod._decomposition(layout, blocks, canon, weight)
+    # the pieces of one atom share a weight level or step down it, so they
+    # fall into one block: each value takes the ratio of its pieces' block
+    piece_values = layout.values.tolist()
+    ratio_of = {}
+    for first, end, h_mass, w_mass in blocks:
+        ratio_of.update(dict.fromkeys(piece_values[first:end],
+                                      h_mass / w_mass))
     ratios = np.array([ratio_of[v] for v in values])
     vals = np.array(values)
     mass = np.array(masses)
@@ -334,29 +279,16 @@ def rearranged_pairing(f, h):
         n = min(a.size, b.size)
         return float(a[:n] @ b[:n])
     if isinstance(f, StepFunction) and isinstance(h, StepFunction):
-        fa = f.rearranged().atoms
-        ha = h.rearranged().atoms
-        cuts = sorted({0.0}
-                      | set(np.cumsum([m for _, m in fa]))
-                      | set(np.cumsum([m for _, m in ha])))
-        total = 0.0
-        for left, right in zip(cuts, cuts[1:]):
-            mid = 0.5 * (left + right)
-            fv = _step_value_at(fa, mid)
-            hv = _step_value_at(ha, mid)
-            total += fv * hv * (right - left)
-        return total
+        fv, fc = _step_cuts(f.rearranged())
+        hv, hc = _step_cuts(h.rearranged())
+        if fc[-1] > hc[-1]:
+            fv, fc, hv, hc = hv, hc, fv, fc
+        # pieces of the shorter support, cut at the other element's edges
+        edges, i = _split(fc, hc)
+        j = np.searchsorted(hc, edges[:-1], side="right") - 1
+        return float(np.sum(fv[i] * hv[j] * np.diff(edges)))
     raise DomainError("the pairing is computed for finite elements of one "
                       "setting")
-
-
-def _step_value_at(atoms, t):
-    edge = 0.0
-    for value, measure in atoms:
-        edge += measure
-        if t < edge:
-            return value
-    return 0.0
 
 
 def holder_check(phi, weight, f, h, *, rel_tol=1e-9):

@@ -10,25 +10,23 @@ dominates every proper prefix ratio R(a, t), and h0 = R(a, b) * w there.
 Outside the maximal intervals h0 = h.  The profile h0 / w is nonincreasing
 and each interval preserves the h-mass.
 
-The decomposition is computed with a pool-adjacent-violators sweep: atoms are
-split at weight breakpoints so every piece carries a single (value, level)
-pair, pieces are pushed left to right, and a new piece is merged into its
-predecessor while the predecessor's ratio does not exceed the newcomer's
-(ties merge).  Ratio comparisons cross-multiply the masses, so data with
-exactly representable products compares exactly.
+The decomposition runs on the layout of `rearrange.finite_layout`, whose
+pieces carry a single (value, weight level) pair each: atoms split at the
+weight's breakpoints, or one piece per sequence entry.  A pool-adjacent-
+violators sweep pushes the pieces left to right and merges a new piece into
+its predecessor while the predecessor's ratio does not exceed the
+newcomer's (ties merge).  Ratio comparisons cross-multiply the masses, so
+data with exactly representable products compares exactly.  The dual norms
+and the Young witness read the same blocks through `_level_blocks`.
 
 The sequence variant replaces integrals by sums over index blocks (a, b] =
 {a + 1, ..., b}.
 """
 
-import bisect
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
-from .rearrange import (FiniteSequence, SequenceWeight, StepFunction, Weight)
+from .rearrange import FiniteSequence, StepFunction, finite_layout
 
 __all__ = ["LevelInterval", "LevelDecomposition", "level_function",
            "level_sequence", "evaluate_level"]
@@ -61,77 +59,60 @@ class LevelDecomposition:
         return evaluate_level(self, t)
 
 
-def _require_canonical(h):
+def _merge_blocks(h_masses, w_masses):
+    """PAVA sweep over piece masses: (first, end, h_mass, w_mass) of each
+    block, which holds the pieces first, ..., end - 1."""
+    firsts, hs, ws = [], [], []
+    for k, (h_new, w_new) in enumerate(zip(h_masses, w_masses)):
+        first = k
+        # merge while ratio(top) <= ratio(new), compared exactly via
+        # cross-multiplication
+        while hs and hs[-1] * w_new <= h_new * ws[-1]:
+            first = firsts.pop()
+            h_new += hs.pop()
+            w_new += ws.pop()
+        firsts.append(first)
+        hs.append(h_new)
+        ws.append(w_new)
+    return list(zip(firsts, firsts[1:] + [len(h_masses)], hs, ws))
+
+
+def _level_blocks(layout):
+    """Maximal level intervals of a FiniteLayout with positive h mass, as
+    (first piece, end piece, h mass, weight mass); ratios nonincreasing."""
+    blocks = _merge_blocks(layout.h_masses.tolist(),
+                           layout.w_masses.tolist())
+    return [block for block in blocks if block[2] > 0.0]
+
+
+def _decomposition(layout, blocks, h, w):
+    """LevelDecomposition of canonical h from its layout and level blocks;
+    ends are Python floats, or ints in the sequence setting."""
+    edges = layout.edges.tolist()
+    intervals = tuple(LevelInterval(edges[a], edges[b], hm / wm, hm, wm)
+                      for a, b, hm, wm in blocks)
+    setting = "function" if isinstance(h, StepFunction) else "sequence"
+    return LevelDecomposition(intervals, setting, edges[-1], h, w)
+
+
+def _level(h, w, kind):
+    if not isinstance(h, kind):
+        raise DomainError(f"expected a {kind.__name__}")
     if not h.is_canonical:
         raise DomainError(
             "input must be in canonical decreasing form; rearrange first")
-
-
-def _merge_blocks(blocks):
-    """PAVA sweep over (h_mass, w_mass, lower, upper) tuples."""
-    stack = []
-    for block in blocks:
-        h_new, w_new, lo_new, up_new = block
-        while stack:
-            h_top, w_top, lo_top, _ = stack[-1]
-            # merge while ratio(top) <= ratio(new), compared exactly via
-            # cross-multiplication
-            if h_top * w_new <= h_new * w_top:
-                stack.pop()
-                h_new += h_top
-                w_new += w_top
-                lo_new = lo_top
-            else:
-                break
-        stack.append((h_new, w_new, lo_new, up_new))
-    return stack
+    layout = finite_layout(h, w)
+    return _decomposition(layout, _level_blocks(layout), h, w)
 
 
 def level_function(h, w):
     """Level decomposition of a canonical step function against a weight."""
-    if not isinstance(h, StepFunction) or not isinstance(w, Weight):
-        raise DomainError("expected a StepFunction and a function weight")
-    _require_canonical(h)
-    total = h.total_measure
-    if total > w.gamma:
-        raise DomainError("element support exceeds the weight domain")
-    # split atom boundaries at weight breakpoints so each piece has a single
-    # value and a single weight level
-    cuts = [0.0]
-    for _, measure in h.atoms:
-        cuts.append(cuts[-1] + measure)
-    boundaries = sorted(set(cuts) | {b for b in w.breakpoints() if b < total})
-    values = []
-    for left, right in zip(boundaries, boundaries[1:]):
-        mid = 0.5 * (left + right)
-        pos = bisect.bisect_right(cuts, mid) - 1
-        values.append(h.atoms[pos][0])
-    w_cum = w.cumulative(np.asarray(boundaries))
-    blocks = []
-    for k, (left, right) in enumerate(zip(boundaries, boundaries[1:])):
-        h_mass = values[k] * (right - left)
-        w_mass = float(w_cum[k + 1] - w_cum[k])
-        blocks.append((h_mass, w_mass, left, right))
-    merged = _merge_blocks(blocks)
-    intervals = tuple(
-        LevelInterval(lo, up, hm / wm, hm, wm)
-        for hm, wm, lo, up in merged if hm > 0.0)
-    return LevelDecomposition(intervals, "function", total, h, w)
+    return _level(h, w, StepFunction)
 
 
 def level_sequence(h, w):
     """Level decomposition of a canonical finite sequence against a weight."""
-    if not isinstance(h, FiniteSequence) or not isinstance(w, SequenceWeight):
-        raise DomainError("expected a FiniteSequence and a sequence weight")
-    _require_canonical(h)
-    n = len(h.entries)
-    weights = w.head(n)
-    blocks = [(h.entries[i], float(weights[i]), i, i + 1) for i in range(n)]
-    merged = _merge_blocks(blocks)
-    intervals = tuple(
-        LevelInterval(lo, up, hm / wm, hm, wm)
-        for hm, wm, lo, up in merged if hm > 0.0)
-    return LevelDecomposition(intervals, "sequence", n, h, w)
+    return _level(h, w, FiniteSequence)
 
 
 def evaluate_level(dec, t):

@@ -17,10 +17,11 @@ and `k_interval` locates both ends independently, as roots of the
 conjugate-side modular of p(k f*).
 
 Finite elements evaluate exactly as weighted sums.  Each norm lays a finite
-element out once, as its decreasing values with the weight mass of each
-piece, divides the values by the largest one and solves a scalar problem
-on those arrays: the modular of c f is sum phi(c v_i) m_i, so no element
-is rebuilt inside a solver loop, and norms come back multiplied by the
+element out once, by `rearrange.finite_layout`: the decreasing values of
+f* split at the weight's breakpoints, with the weight mass of each piece.
+It divides the values by the largest one and solves a scalar problem on
+those arrays: the modular of c f is sum phi(c v_i) m_i, so no element is
+rebuilt inside a solver loop, and norms come back multiplied by the
 divisor, which keeps every solve inside its bracket at any magnitude.
 
 Parametric profiles are integrated by adaptive quadrature after a log
@@ -46,7 +47,7 @@ from .errors import (ConvergenceError, DomainError, NotInSpaceError,
 from .orlicz import TabulatedOrlicz
 from .rearrange import (BandRestriction, DecreasingProfile,
                         DecreasingSeqProfile, FiniteSequence, SequenceWeight,
-                        StepFunction, Weight, element_setting)
+                        StepFunction, Weight, finite_layout)
 
 __all__ = [
     "KInterval", "rho_modular", "luxemburg_norm", "orlicz_norm_amemiya",
@@ -59,24 +60,6 @@ _SEQ_HEAD = 200_000
 
 # ---------------------------------------------------------------------------
 # exact modulars for finite data
-
-def _step_layout(f, w):
-    """Canonical values with their Lebesgue and weight masses."""
-    canon = f.rearranged()
-    values = np.array([v for v, _ in canon.atoms])
-    measures = np.array([m for _, m in canon.atoms])
-    if values.size and measures.sum() > w.gamma * (1 + 1e-12):
-        raise DomainError("element support exceeds the weight domain")
-    cuts = np.concatenate(([0.0], np.cumsum(measures)))
-    w_masses = np.diff(w.cumulative(cuts))
-    return values, measures, w_masses
-
-
-def _seq_layout(f, w):
-    canon = f.rearranged()
-    values = np.array(canon.entries)
-    return values, w.head(values.size)
-
 
 def _finite_modular(psi, values, masses):
     if values.size == 0:
@@ -198,17 +181,9 @@ def _seq_profile_modular(psi, w, profile):
 # public modular and norms
 
 def _finite_layout(weight, f):
-    """(values, weight masses) of a finite element, values decreasing;
-    None for a parametric profile."""
-    if isinstance(f, StepFunction):
-        if not isinstance(weight, Weight):
-            raise DomainError("function elements need a function weight")
-        values, _, w_masses = _step_layout(f, weight)
-        return values, w_masses
-    if isinstance(f, FiniteSequence):
-        if not isinstance(weight, SequenceWeight):
-            raise DomainError("sequence elements need a sequence weight")
-        return _seq_layout(f, weight)
+    """The FiniteLayout of f*; None for a parametric profile."""
+    if isinstance(f, (StepFunction, FiniteSequence)):
+        return finite_layout(f.rearranged(), weight)
     return None
 
 
@@ -224,7 +199,7 @@ def _modular(psi, weight, f):
     """rho_modular with the function psi evaluated where phi.value is."""
     layout = _finite_layout(weight, f)
     if layout is not None:
-        return _finite_modular(psi, *layout)
+        return _finite_modular(psi, layout.values, layout.w_masses)
     if isinstance(f, DecreasingProfile):
         if not isinstance(weight, Weight):
             raise DomainError("function elements need a function weight")
@@ -234,14 +209,6 @@ def _modular(psi, weight, f):
             raise DomainError("sequence elements need a sequence weight")
         return _seq_profile_modular(psi, weight, f)
     raise DomainError(f"unknown element type: {type(f).__name__}")
-
-
-def _is_zero(f):
-    if isinstance(f, StepFunction):
-        return not f.rearranged().atoms
-    if isinstance(f, FiniteSequence):
-        return not f.rearranged().entries
-    return False
 
 
 def _unit_scalings(values, masses):
@@ -281,7 +248,7 @@ def _scalings(weight, f):
         scale = _profile_scale(f)
         return ((lambda psi, c: _modular(psi, weight, f.scaled(c / scale))),
                 scale)
-    return _unit_scalings(*layout)
+    return _unit_scalings(layout.values, layout.w_masses)
 
 
 def luxemburg_norm(phi, weight, f, *, rel_tol=1e-10):
@@ -344,7 +311,7 @@ def k_interval(phi, weight, f):
     layout = _finite_layout(weight, f)
     if layout is None:
         raise DomainError("K(f) is computed for finite elements")
-    values, masses = layout
+    values, masses = layout.values, layout.w_masses
     if values.size == 0:
         raise DomainError("K(f) is undefined for the zero element")
     conj = phi.conjugate()
@@ -374,14 +341,11 @@ def amemiya_pairing_report(phi, weight, f):
     """
     ki = k_interval(phi, weight, f)
     k = 0.5 * (ki.lower + ki.upper)
-    if isinstance(f, StepFunction):
-        values, measures, w_masses = _step_layout(f, weight)
-    else:
-        values, w_masses = _seq_layout(f, weight)
-        measures = np.ones_like(values)
+    layout = _finite_layout(weight, f)
+    values = layout.values
     slopes = phi.derivative(k * values)
-    weighted = float(np.sum(values * slopes * w_masses))
-    unweighted = float(np.sum(values * slopes * measures))
+    weighted = float(np.sum(values * slopes * layout.w_masses))
+    unweighted = float(np.sum(values * slopes * layout.lengths))
     modular = rho_modular(phi, weight, f.scaled(k))
     return {
         "k": k,
@@ -434,14 +398,11 @@ def orlicz_norm_dual_sup_oracle(phi, weight, f):
     from scipy import optimize
     if not isinstance(f, FiniteSequence):
         raise DomainError("the supremum oracle works on finite sequences")
-    if _is_zero(f):
-        return 0.0
-    if not isinstance(weight, SequenceWeight):
-        raise DomainError("sequence elements need a sequence weight")
-    canon = f.rearranged()
-    values = np.array(canon.entries)
+    layout = finite_layout(f.rearranged(), weight)
+    values, w_head = layout.values, layout.w_masses
     n = values.size
-    w_head = weight.head(n)
+    if n == 0:
+        return 0.0
     coeffs = values * w_head
     conj = phi.conjugate()
     steps = np.eye(n) - np.eye(n, k=1)

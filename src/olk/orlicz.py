@@ -48,6 +48,30 @@ def _like(arr, template):
     return arr
 
 
+# below this argument exp(u) - u - 1 and (1 + u) log(1 + u) - u, which are
+# u^2 / 2 to leading order, lose to cancellation about eps / u of relative
+# precision; their Taylor series at 0, coefficients of u^2, u^3, ..., take
+# over there, cut where the next term is below 2^-60 of the first
+_SERIES_BELOW = 2.0**-5
+_EXP_SERIES = tuple(1.0 / math.factorial(k) for k in range(2, 11))
+_LOG_SERIES = tuple((-1.0)**k / (k * (k - 1)) for k in range(2, 14))
+
+
+def _small_by_series(arr, out, coeffs):
+    """out, with the entries where arr < _SERIES_BELOW replaced by the
+    series u^2 (c_0 + c_1 u + ...) of the same function."""
+    small = arr < _SERIES_BELOW
+    if not small.any():
+        return out
+    out = np.asarray(out)
+    u = arr[small]
+    tail = coeffs[-1]
+    for c in coeffs[-2:0:-1]:
+        tail = tail * u + c
+    out[small] = coeffs[0] * (u * u) + tail * u * (u * u)
+    return out
+
+
 class OrliczFunction:
     """Common surface: value, right derivative, conjugate."""
 
@@ -120,7 +144,7 @@ class ExpOrlicz(OrliczFunction):
         arr = _as_array(u)
         with np.errstate(over="ignore"):
             out = np.expm1(arr) - arr
-        return _like(out, u)
+        return _like(_small_by_series(arr, out, _EXP_SERIES), u)
 
     def derivative(self, u):
         arr = _as_array(u)
@@ -141,7 +165,7 @@ class LogOrlicz(OrliczFunction):
     def value(self, u):
         arr = _as_array(u)
         out = (1.0 + arr) * np.log1p(arr) - arr
-        return _like(out, u)
+        return _like(_small_by_series(arr, out, _LOG_SERIES), u)
 
     def derivative(self, u):
         arr = _as_array(u)
@@ -296,7 +320,11 @@ class NumericConjugate(OrliczFunction):
     def derivative(self, v):
         arr = _as_array(v)
         flat = np.atleast_1d(arr).ravel()
-        out = self._boundaries(flat, strict=True)
+        # q(0) = sup{u : p(u) <= 0} = 0, which the solve would miss where
+        # p(u) underflows to 0 above it
+        out = np.zeros_like(flat)
+        positive = flat != 0.0
+        out[positive] = self._boundaries(flat[positive], strict=True)
         return _like(out.reshape(np.shape(arr)), v)
 
     def young(self, v):

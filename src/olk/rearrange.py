@@ -26,6 +26,7 @@ __all__ = [
     "ExplicitSeqWeight",
     "distribution", "decreasing_rearrangement", "equimeasurable",
     "cumulative_weight", "disjoint_sum", "element_setting",
+    "FiniteLayout", "finite_layout",
 ]
 
 
@@ -737,6 +738,72 @@ def cumulative_weight(w, t):
     if isinstance(w, SequenceWeight):
         return w.prefix(t)
     raise DomainError(f"unknown weight type: {type(w).__name__}")
+
+
+# ---------------------------------------------------------------------------
+# the layout of a finite element
+
+@dataclass(frozen=True, eq=False)
+class FiniteLayout:
+    """h* of a canonical finite element, split at the weight's breakpoints.
+
+    Piece k holds the value values[k] on [edges[k], edges[k + 1]), with
+    length lengths[k] and weight mass w_masses[k]; cumulative[k] is the
+    running weight W(edges[k]).  A sequence has one piece per entry, of
+    length 1 between integer edges.
+    """
+
+    values: np.ndarray
+    lengths: np.ndarray
+    w_masses: np.ndarray
+    edges: np.ndarray
+    cumulative: np.ndarray
+
+    @property
+    def h_masses(self):
+        return self.values * self.lengths
+
+
+def _step_cuts(h):
+    """Values of the atoms of a step function and their edges from 0."""
+    pairs = np.array(h.atoms, dtype=float).reshape(-1, 2)
+    return pairs[:, 0], np.concatenate(([0.0], np.cumsum(pairs[:, 1])))
+
+
+def _split(cuts, points):
+    """Edges of [0, cuts[-1]) cut at cuts and at the points inside, with
+    the index k of the atom [cuts[k], cuts[k + 1]) that holds each piece."""
+    edges = np.union1d(cuts, points[points < cuts[-1]])
+    return edges, np.searchsorted(cuts, edges[:-1], side="right") - 1
+
+
+def finite_layout(h, w):
+    """The FiniteLayout of a canonical StepFunction or FiniteSequence.
+
+    Raises DomainError for a weight of the other setting and for a step
+    function longer than the weight's domain, with the slack the
+    StepFunction constructor allows against its own gamma.
+    """
+    if isinstance(h, StepFunction):
+        if not isinstance(w, Weight):
+            raise DomainError("function elements need a function weight")
+        values, cuts = _step_cuts(h)
+        if cuts[-1] > w.gamma * (1.0 + 1e-12):
+            raise DomainError("element support exceeds the weight domain")
+        edges, atom = _split(cuts, np.asarray(w.breakpoints(), dtype=float))
+        cumulative = w.cumulative(edges)
+        return FiniteLayout(values[atom], np.diff(edges),
+                            np.diff(cumulative), edges, cumulative)
+    if isinstance(h, FiniteSequence):
+        if not isinstance(w, SequenceWeight):
+            raise DomainError("sequence elements need a sequence weight")
+        values = np.array(h.entries, dtype=float)
+        w_masses = w.head(values.size)
+        return FiniteLayout(values, np.ones(values.size), w_masses,
+                            np.arange(values.size + 1),
+                            np.concatenate(([0.0], np.cumsum(w_masses))))
+    raise DomainError("expected a finite element (StepFunction or "
+                      f"FiniteSequence), got {type(h).__name__}")
 
 
 def disjoint_sum(f, g):

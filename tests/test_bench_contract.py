@@ -3,10 +3,15 @@
 bench/run.py is loaded as a module and driven the way its timed loop drives
 it, on one pass of the gated workloads' op pools, so a library change that
 breaks the harness or its checks fails here rather than in a benchmark run.
+Its command line is also run as the benchmark runs it, for one second per
+gated workload, so whatever raises outside the per-op checks (building the
+pool, the child import, the timed loop) fails here too.
 """
 
 import importlib
 import importlib.util
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,7 +19,8 @@ import pytest
 
 import olk
 
-BENCH = Path(__file__).resolve().parent.parent / "bench"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH = ROOT / "bench"
 SEED = 20261018
 
 
@@ -63,3 +69,15 @@ def test_library_surface_used_by_the_harness(bench):
         importlib.import_module(f"olk.{name}")
     for cls in (olk.StepFunction, olk.FiniteSequence):
         assert "rearranged" in cls.__dict__ and "scaled" in cls.__dict__
+
+
+@pytest.mark.parametrize("workload", ["large-n", "cli-cold"])
+def test_benchmark_command_exits_cleanly(workload):
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed",
+         str(SEED), "--seconds", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    summary = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True
+    assert summary["failed"] == 0

@@ -44,6 +44,29 @@ def test_dual_modular_rejects_non_n_function():
         olk.P_modular(flat, w, h)
 
 
+def test_one_support_check_for_every_finite_route():
+    # a support longer than the weight's domain by less than the slack the
+    # StepFunction constructor allows is accepted everywhere; one longer
+    # than that is rejected everywhere with the same error
+    phi = olk.PowerOrlicz(2.0, 0.5)
+    w = olk.StepWeight(((1.0, 1.0),))
+    routes = (lambda h: olk.luxemburg_norm(phi, w, h),
+              lambda h: olk.level_function(h.rearranged(), w),
+              lambda h: olk.P_modular(phi, w, h),
+              lambda h: olk.P_modular_oracle(phi, w, h),
+              lambda h: olk.dual_luxemburg_norm(phi, w, h))
+    inside = olk.StepFunction(((1.0, 1.0 + 1e-13),), 1.0)
+    for route in routes:
+        route(inside)
+    assert olk.P_modular(phi, w, inside) == pytest.approx(
+        olk.P_modular_oracle(phi, w, inside), rel=1e-8)
+    outside = olk.StepFunction(((1.0, 1.0 + 1e-9),))
+    for route in routes:
+        with pytest.raises(DomainError,
+                           match="element support exceeds the weight domain"):
+            route(outside)
+
+
 def test_dual_modular_matches_descent_oracle():
     rng = np.random.default_rng(41)
     for _ in range(30):
@@ -112,6 +135,47 @@ def test_rearranged_pairing_value():
     # f* = (2,1),(1,1); h* = (3,.5),(1,1.5):
     # integral = 2*3*0.5 + 2*1*0.5 + 1*1*1 = 5
     assert olk.rearranged_pairing(f, h) == pytest.approx(5.0, rel=1e-12)
+
+
+def _brute_pairing(f, h):
+    # f* and h* by sorting the atoms, evaluated at the midpoint of every
+    # piece of the merged grid of both elements' edges
+    def decreasing(g):
+        atoms = sorted(((abs(v), m) for v, m in g.atoms if v != 0.0),
+                       reverse=True)
+        edges = np.cumsum([m for _, m in atoms]).tolist()
+        return [v for v, _ in atoms], edges
+
+    def at(values, edges, t):
+        for value, edge in zip(values, edges):
+            if t < edge:
+                return value
+        return 0.0
+
+    fv, fe = decreasing(f)
+    hv, he = decreasing(h)
+    grid = sorted({0.0} | set(fe) | set(he))
+    return sum(at(fv, fe, 0.5 * (a + b)) * at(hv, he, 0.5 * (a + b))
+               * (b - a) for a, b in zip(grid, grid[1:]))
+
+
+def test_rearranged_pairing_matches_brute_force_on_merged_grid():
+    # few distinct magnitudes with both signs, so values tie across atoms
+    # and across the two elements; supports of unequal length
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        pair = []
+        for _ in range(2):
+            n = int(rng.integers(1, 9))
+            mags = rng.choice([0.5, 1.0, 1.5, 2.0], n)
+            signs = np.where(rng.random(n) < 0.3, -1.0, 1.0)
+            lens = dyadic(rng, 1 / 16, 2.0, n)
+            pair.append(olk.StepFunction(tuple(
+                (float(v), float(m)) for v, m in zip(mags * signs, lens))))
+        f, h = pair
+        want = _brute_pairing(f, h)
+        assert olk.rearranged_pairing(f, h) == pytest.approx(want, rel=1e-12)
+        assert olk.rearranged_pairing(h, f) == pytest.approx(want, rel=1e-12)
 
 
 def test_holder_bounds_hold_and_types_are_plain(quad_phi):

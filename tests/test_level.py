@@ -103,6 +103,18 @@ def test_level_merges_blocks_with_equal_ratio():
     assert olk.evaluate_level(dec, 2) == pytest.approx(2.0 / 3.0)
 
 
+def test_sequence_interval_ends_are_ints():
+    # the ends index positions, and `olk level` prints them as integers
+    rng = np.random.default_rng(37)
+    for _ in range(20):
+        h = rand_seq(rng).rearranged()
+        dec = olk.level_sequence(h, rand_seq_weight(rng))
+        assert type(dec.support_end) is int
+        for iv in dec.intervals:
+            assert type(iv.lower) is int and type(iv.upper) is int
+            assert type(iv.ratio) is float
+
+
 def test_level_respects_weight_breakpoints():
     h = olk.StepFunction(((3.0, 0.5), (1.0, 1.5), (2.5, 0.25))).rearranged()
     w = olk.StepWeight(((2.0, 2.0), (math.inf, 0.5)))

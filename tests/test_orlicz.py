@@ -1,6 +1,7 @@
 """Young-pair behaviour of the convex gauge families."""
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -59,6 +60,41 @@ def test_exp_value():
     phi = olk.ExpOrlicz()
     assert phi.value(1.0) == pytest.approx(math.e - 2.0, rel=1e-15)
     assert phi.value(0.0) == 0.0
+
+
+def _decimal_reference(kind, u):
+    # exp(u) - u - 1 and (1 + u) log(1 + u) - u to 50 significant digits:
+    # the working precision covers the cancellation of about 2 log10(1/u)
+    # digits
+    with localcontext() as ctx:
+        ctx.prec = 50 + max(0, int(-2.0 * math.log10(u)))
+        d = Decimal(u)
+        if kind == "exp":
+            return d.exp() - d - 1
+        return (1 + d) * (1 + d).ln() - d
+
+
+@pytest.mark.parametrize("phi", [olk.ExpOrlicz(), olk.LogOrlicz()],
+                         ids=["exp", "log"])
+def test_small_argument_values_within_4_ulp(phi):
+    kind = "exp" if isinstance(phi, olk.ExpOrlicz) else "log"
+    us = np.concatenate([np.logspace(-300.0, -2.0, 300),
+                         np.geomspace(1e-3, 1e-2, 100)])
+    got = phi.value(us)
+    for u, value in zip(us.tolist(), got.tolist()):
+        want = _decimal_reference(kind, u)
+        ulps = abs(Decimal(value) - want) / Decimal(math.ulp(float(want)))
+        assert ulps <= 4, (u, value)
+        assert phi.value(u) == value
+
+
+def test_small_argument_anchor_values():
+    # all three read 0.0 or twice the true value through the cancelling
+    # closed forms
+    want = pytest.approx(5e-41, rel=1e-12, abs=0.0)
+    assert olk.LogOrlicz().value(1e-20) == want
+    assert olk.ExpOrlicz().value(1e-20) == want
+    assert olk.NumericConjugate(olk.ExpOrlicz()).value(1e-20) == want
 
 
 def test_flat_zero_vanishes_near_origin_but_not_identically():
@@ -159,15 +195,21 @@ def test_numeric_conjugate_matches_closed_form_at_tiny_arguments(r):
                                                       rel=1e-8, abs=0.0)
 
 
-@pytest.mark.parametrize("r", [1.5, 2.0])
-def test_numeric_conjugate_derivative_at_zero_is_zero(r):
-    # sup{u : p(u) <= 0} = 0 while p stays positive in floating point down
-    # to the last probe 2^-960; for r = 3, p(u) = 1.5 u^2 underflows to 0
-    # below about 1e-162, so the floating-point answer lies there instead
-    numeric = olk.NumericConjugate(olk.PowerOrlicz(r, 0.5))
+@pytest.mark.parametrize("base", [
+    pytest.param(olk.PowerOrlicz(1.5, 0.5), id="1.5"),
+    pytest.param(olk.PowerOrlicz(2.0, 0.5), id="2.0"),
+    pytest.param(olk.PowerOrlicz(3.0, 0.5), id="3.0"),
+    pytest.param(olk.FlatZeroOrlicz(0.4), id="flat_zero"),
+])
+def test_numeric_conjugate_derivative_at_zero_is_zero(base):
+    # sup{u : p(u) <= 0} = 0; for r = 3, p(u) = 1.5 u^2 underflows to 0
+    # below about 1e-162, and e^(-1/u) / u^2 of the flat-zero function
+    # below about 1.3e-3, where a solve for the crossing would stop
+    numeric = olk.NumericConjugate(base)
     assert numeric.derivative(0.0) == 0.0
     assert numeric.young(0.0) == 0.0
     assert numeric.value(0.0) == 0.0
+    assert numeric.derivative(np.array([0.0, 1e-3]))[0] == 0.0
 
 
 def test_increasing_roots_walk_below_the_floor():
@@ -200,7 +242,7 @@ def test_numeric_conjugate_arrays_match_per_entry_solves():
     # reference: the size-1 solve per entry, to be matched bit for bit
     argmax = [0.0 if x == 0.0 else boundary(x, False) for x in v]
     values = [u * x - base.value(u) for u, x in zip(argmax, v)]
-    slopes = [boundary(x, True) for x in v]
+    slopes = [0.0 if x == 0.0 else boundary(x, True) for x in v]
     assert np.array_equal(conj.value(v), np.array(values))
     assert np.array_equal(conj.derivative(v), np.array(slopes))
     assert conj.value(float(v[3])) == values[3]
