@@ -1,7 +1,8 @@
 """The scaling threshold theta and distance to the order-continuous part.
 
 theta(f) is the infimum of scales lambda for which the modular of f/lambda
-is finite.  Finite-support elements always have theta = 0; heavy analytic
+is finite, read in closed form from how phi, the weight and f grow at 0 and
+at infinity.  Finite-support elements always have theta = 0; heavy analytic
 tails can have theta > 0, and truncating such a tail leaves remainders whose
 norms decrease toward theta — never below it.
 
@@ -29,7 +30,7 @@ def main():
 
     th = olk.theta(phi, w, f)
     lux = olk.luxemburg_norm(phi, w, f)
-    print(f"theta(f) = {th:.6f}   (the finite/infinite boundary)")
+    print(f"theta(f) = {th:.6f}   (a / (1 - beta) for exp on a log head)")
     print(f"gauge norm = {lux:.6f}   (theta <= norm always)")
     print()
 
@@ -57,8 +58,8 @@ def main():
     w_s = olk.ConstantSeqWeight(1.0)
     x = olk.LogSeqTail(0.75)
     th_s = olk.theta(phi_s, w_s, x)
-    print(f"  phi flat near zero (cutoff 0.4), x_n = 0.75 * log(1 + 1/n)")
-    print(f"  theta = {th_s:.6f}   (amplitude of the tail)")
+    print(f"  phi flat near zero (cutoff 0.4), x_n = 0.75 / log(n + 1)")
+    print(f"  theta = {th_s:.6f}   (a (1 - beta) for flat phi on 1 / log)")
 
 
 if __name__ == "__main__":

@@ -106,7 +106,7 @@ def _cmd_kinterval(args):
 def _cmd_theta(args):
     space = _load_space(args.space)
     elem = _load_element(args.element, space.setting)
-    value = theta(space.phi, space.weight, elem, rel_tol=args.rel_tol)
+    value = theta(space.phi, space.weight, elem)
     return {"theta": value}, 0
 
 
@@ -181,7 +181,6 @@ def _build_parser():
 
     p = sub.add_parser("theta", help="finiteness threshold of the modular")
     common(p)
-    p.add_argument("--rel-tol", type=float, default=1e-3)
     p.set_defaults(handler=_cmd_theta)
 
     p = sub.add_parser("witness",

@@ -376,11 +376,6 @@ def functional_norm_report(phi, weight, h, s, **extras):
                                 additive - orlicz_side, dict(extras))
 
 
-def _increasing_inverse(fn, target, *, hint=1.0):
-    return solvers.smallest_satisfying(lambda x: fn(x) >= target, hint=hint,
-                                       rel_tol=1e-13)
-
-
 def non_m_ideal_witness(phi, weight, s, u):
     """Construct h = u w on an initial segment whose functional (h, s) has a
     strictly positive gap between the additive sum and the gauge norm.
@@ -415,8 +410,11 @@ def non_m_ideal_witness(phi, weight, s, u):
         candidates = [n for n in (lo - 1, lo) if n >= 1]
         n0 = min(candidates, key=lambda n: abs(weight.prefix(n) - target))
         prefix = weight.prefix(n0)
-        u_used = (1.0 - s) * _increasing_inverse(
-            lambda x: float(conj.value(x)), 1.0 / prefix, hint=u / (1.0 - s))
+        # the smallest c with conj(c u / (1 - s)) >= 1 / prefix
+        _, c = solvers.increasing_root(
+            lambda c: float(conj.value(c * u / (1.0 - s))) * prefix - 1.0,
+            rel_tol=1e-13)
+        u_used = c * u
         head = weight.head(n0)
         h = FiniteSequence(tuple(float(u_used * wv) for wv in head))
         extras.update(n0=n0, u_used=u_used)

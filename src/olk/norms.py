@@ -25,11 +25,11 @@ rebuilt inside a solver loop, and norms come back multiplied by the
 divisor, which keeps every solve inside its bracket at any magnitude.
 
 Parametric profiles are integrated by adaptive quadrature after a log
-substitution; whether the integral converges at its singular ends is
-decided first by a power-law exponent fit at three scales, which also
-drives the finiteness threshold theta(f) = inf{lam : modular(f / lam) <
-inf}.  Their norms are solved on f / s, with s a representative value
-of f, as finite norms are on the layout divided by its largest value.
+substitution, once `_threshold` has found the integral convergent from the
+growth types of psi, the weight and f* at each end; the same rule gives
+theta(f) = inf{lam : modular(f / lam) < inf} in closed form.  Their norms
+are solved on f / s, with s a representative value of f, as finite norms
+are on the layout divided by its largest value.
 
 SciPy is imported inside the quadrature and the dual-sup oracle only, so
 work on finite elements loads NumPy alone.
@@ -45,9 +45,12 @@ from . import solvers
 from .errors import (ConvergenceError, DomainError, NotInSpaceError,
                      UndecidedError)
 from .orlicz import TabulatedOrlicz
-from .rearrange import (BandRestriction, DecreasingProfile,
-                        DecreasingSeqProfile, FiniteSequence, SequenceWeight,
-                        StepFunction, Weight, finite_layout)
+from .rearrange import (
+    BandComplement, BandRestriction, ConstantSeqWeight, DecreasingProfile,
+    DecreasingSeqProfile, ExplicitSeqWeight, FiniteSequence,
+    HarmonicSeqWeight, LogSeqTail, LogTailProfile, PowerSeqTail,
+    PowerSeqWeight, PowerTailProfile, PowerWeight, SequenceWeight,
+    ShiftedSeqTail, StepFunction, StepWeight, Weight, finite_layout)
 
 __all__ = [
     "KInterval", "rho_modular", "luxemburg_norm", "orlicz_norm_amemiya",
@@ -73,58 +76,93 @@ def _finite_modular(psi, values, masses):
 # ---------------------------------------------------------------------------
 # quadrature for parametric profiles
 
-def _loglog_slope(sampler, scales):
-    """Least-squares slope of log(sampler) against log(scale).
+def _ends(f):
+    """The head (t -> 0) and the tail (t or i -> inf) of f*, each a pair
+    (shape, amplitude a): "log" is a log(1/t), "inv_log" is a / log i, a
+    float p is a t^-p, and "bounded" and "finite" mark a bounded head and
+    a finite support."""
+    f = getattr(f, "source", f)   # the rearranged view of a band wrapper
+    if isinstance(f, (StepFunction, FiniteSequence, BandRestriction)):
+        return ("bounded", 0.0), ("finite", 0.0)
+    if isinstance(f, (BandComplement, ShiftedSeqTail)):
+        return _ends(f.base)
+    if isinstance(f, LogTailProfile):
+        return ("log", f.amplitude), (1.0, f.amplitude)
+    if isinstance(f, PowerTailProfile):
+        end = (float(f.exponent), f.amplitude)
+        return end, end
+    if isinstance(f, PowerSeqTail):
+        return ("bounded", 0.0), (float(f.exponent), f.amplitude)
+    if isinstance(f, LogSeqTail):
+        return ("bounded", 0.0), ("inv_log", f.amplitude)
+    raise UndecidedError(f"no growth type for {type(f).__name__}")
 
-    Returns math.inf when the samples overflow, None when they vanish, and
-    raises UndecidedError when the three points are visibly non-collinear.
-    """
-    ys = np.array([sampler(s) for s in scales], dtype=float)
-    if np.any(~np.isfinite(ys)):
+
+def _beta(weight):
+    """The exponent beta of a weight that is t^-beta at 0 and at infinity."""
+    if isinstance(weight, (PowerWeight, PowerSeqWeight)):
+        return weight.beta
+    if isinstance(weight, HarmonicSeqWeight):
+        return 1.0
+    if isinstance(weight, (StepWeight, ConstantSeqWeight, ExplicitSeqWeight)):
+        return 0.0
+    raise UndecidedError(f"no growth type for {type(weight).__name__}")
+
+
+def _power_law(excess, b):
+    """0 when t^-(1 + excess) log(t)^b is integrable at infinity, else inf."""
+    return 0.0 if excess > 0.0 or (excess == 0.0 and b < -1.0) else math.inf
+
+
+def _head_threshold(shape, a, kind, beta):
+    """The end t -> 0, where the head of f* meets psi at infinity."""
+    if shape == "bounded":
+        return 0.0
+    if shape == "log" and kind == "exp":
+        return a / (1.0 - beta)
+    if shape == "log" and isinstance(kind, tuple):
+        return 0.0
+    if isinstance(shape, float) and isinstance(kind, tuple):
+        return _power_law(1.0 - shape * kind[0] - beta, kind[1])
+    if (shape == "log" or isinstance(shape, float)) and kind in ("exp", "cap"):
         return math.inf
-    if np.any(ys <= 0.0):
-        return None
-    xs = np.log(np.asarray(scales))
-    ls = np.log(ys)
-    slope = np.polyfit(xs, ls, 1)[0]
-    chord = ls[0] + (ls[2] - ls[0]) * (xs[1] - xs[0]) / (xs[2] - xs[0])
-    if abs(ls[1] - chord) > 0.05 * (1.0 + abs(ls[1])):
-        raise UndecidedError(
-            "integrand is not close to a power law at the sampled scales")
-    return float(slope)
+    raise UndecidedError(f"no convergence rule for the head {shape!r} "
+                         f"under {kind!r}")
 
 
-def _profile_diverges(psi, w, profile):
-    """Whether the modular integral of a function profile is infinite."""
-    def g(t):
-        return float(psi(float(profile.rearranged_value(t)))
-                     * w.value(t))
-
-    head = _loglog_slope(g, (1e-4, 1e-5, 1e-6))
-    if head == math.inf or (head is not None and head <= -1.0):
-        return True
-    if math.isinf(profile.support_measure):
-        tail = _loglog_slope(g, (1e4, 1e5, 1e6))
-        if tail == math.inf or (tail is not None and tail >= -1.0):
-            return True
-    return False
-
-
-def _seq_profile_diverges(psi, w, profile):
-    def term(x):
-        return float(psi(float(profile.value(x))) * w.value_at_real(x))
-
-    tail = _loglog_slope(term, (1e4, 1e5, 1e6))
-    if tail is None:
-        return False
-    return tail == math.inf or tail >= -1.0
+def _tail_threshold(shape, a, kind, beta):
+    """The end t, i -> inf, where the tail of f* meets psi at 0."""
+    if shape == "finite" or kind == "zero":
+        return 0.0
+    if shape == "inv_log" and kind == "flat":
+        return a * (1.0 - beta)
+    if shape == "inv_log" and isinstance(kind, tuple):
+        return _power_law(kind[0] - 1.0, kind[1]) if beta == 1.0 else math.inf
+    if isinstance(shape, float) and kind == "flat":
+        return 0.0
+    if isinstance(shape, float) and isinstance(kind, tuple):
+        return _power_law(shape * kind[0] + beta - 1.0, kind[1])
+    raise UndecidedError(f"no convergence rule for the tail {shape!r} "
+                         f"under {kind!r}")
 
 
-def _profile_modular(psi, w, profile):
+def _threshold(growth, weight, f):
+    """inf{lam > 0 : the modular of f / lam under psi converges}, with
+    growth the types of psi at 0 and at infinity: 0 when it converges at
+    every scaling, inf when at none.  Critical cases diverge; a pairing
+    outside these rules raises UndecidedError."""
+    (head, a_head), (tail, a_tail) = _ends(f)
+    beta = _beta(weight)
+    at_zero, at_infinity = growth
+    return max(_head_threshold(head, a_head, at_infinity, beta),
+               _tail_threshold(tail, a_tail, at_zero, beta))
+
+
+def _profile_modular(psi, growth, w, profile):
     from scipy import integrate
     if w.gamma != math.inf and profile.support_measure > w.gamma:
         raise DomainError("profile support exceeds the weight domain")
-    if _profile_diverges(psi, w, profile):
+    if _threshold(growth, w, profile) >= 1.0:
         return math.inf
 
     def integrand(x):
@@ -154,9 +192,9 @@ def _profile_modular(psi, w, profile):
     return total
 
 
-def _seq_profile_modular(psi, w, profile):
+def _seq_profile_modular(psi, growth, w, profile):
     from scipy import integrate
-    if _seq_profile_diverges(psi, w, profile):
+    if _threshold(growth, w, profile) >= 1.0:
         return math.inf
     idx = np.arange(1, _SEQ_HEAD + 1)
     with np.errstate(over="ignore"):
@@ -192,22 +230,22 @@ def rho_modular(phi, weight, f):
 
     Returns math.inf when the integral diverges.
     """
-    return _modular(phi.value, weight, f)
+    return _modular(phi.value, phi.growth, weight, f)
 
 
-def _modular(psi, weight, f):
-    """rho_modular with the function psi evaluated where phi.value is."""
+def _modular(psi, growth, weight, f):
+    """rho_modular with psi, of the growth types growth, for phi.value."""
     layout = _finite_layout(weight, f)
     if layout is not None:
         return _finite_modular(psi, layout.values, layout.w_masses)
     if isinstance(f, DecreasingProfile):
         if not isinstance(weight, Weight):
             raise DomainError("function elements need a function weight")
-        return _profile_modular(psi, weight, f)
+        return _profile_modular(psi, growth, weight, f)
     if isinstance(f, DecreasingSeqProfile):
         if not isinstance(weight, SequenceWeight):
             raise DomainError("sequence elements need a sequence weight")
-        return _seq_profile_modular(psi, weight, f)
+        return _seq_profile_modular(psi, growth, weight, f)
     raise DomainError(f"unknown element type: {type(f).__name__}")
 
 
@@ -236,8 +274,8 @@ def _profile_scale(f):
 
 
 def _scalings(weight, f):
-    """(modular_at, scale) with modular_at(psi, c) the modular of c f / scale
-    under psi, and scale 0 for the zero element.
+    """(modular_at, scale) with modular_at(psi, growth, c) the modular of
+    c f / scale under psi, and scale 0 for the zero element.
 
     A finite element is laid out once; a profile is rebuilt by
     f.scaled(c / scale) at each step, with scale a representative value
@@ -246,9 +284,10 @@ def _scalings(weight, f):
     layout = _finite_layout(weight, f)
     if layout is None:
         scale = _profile_scale(f)
-        return ((lambda psi, c: _modular(psi, weight, f.scaled(c / scale))),
-                scale)
-    return _unit_scalings(layout.values, layout.w_masses)
+        return ((lambda psi, growth, c:
+                 _modular(psi, growth, weight, f.scaled(c / scale))), scale)
+    finite_at, scale = _unit_scalings(layout.values, layout.w_masses)
+    return (lambda psi, growth, c: finite_at(psi, c)), scale
 
 
 def luxemburg_norm(phi, weight, f, *, rel_tol=1e-10):
@@ -258,7 +297,9 @@ def luxemburg_norm(phi, weight, f, *, rel_tol=1e-10):
         return 0.0
     try:
         return scale * solvers.gauge_norm(
-            lambda c: modular_at(phi.value, c), rel_tol=rel_tol)
+            lambda c: modular_at(phi.value, phi.growth, c), rel_tol=rel_tol)
+    except UndecidedError:
+        raise
     except ConvergenceError as exc:
         raise NotInSpaceError(
             "no tested scaling has modular <= 1") from exc
@@ -277,9 +318,10 @@ def orlicz_norm_amemiya(phi, weight, f, *, rel_tol=1e-10):
     if scale == 0.0:
         return 0.0
     try:
-        value = solvers.amemiya_norm(lambda k: modular_at(phi.value, k),
-                                     lambda k: modular_at(phi.young, k),
-                                     rel_tol=rel_tol)
+        value = solvers.amemiya_norm(
+            lambda k: modular_at(phi.value, phi.growth, k),
+            lambda k: modular_at(phi.young, phi.young_growth, k),
+            rel_tol=rel_tol)
     except UndecidedError:
         raise
     except ConvergenceError:
@@ -287,7 +329,8 @@ def orlicz_norm_amemiya(phi, weight, f, *, rel_tol=1e-10):
         if not isinstance(phi, TabulatedOrlicz):
             raise
         slope = float(phi.derivative(phi.knots[-1][0]))
-        return scale * slope * modular_at(lambda t: t, 1.0)
+        # the identity grows as phi does here, as (1, 0) at both ends
+        return scale * slope * modular_at(lambda t: t, phi.growth, 1.0)
     if math.isinf(value):
         raise NotInSpaceError("no tested scaling has a finite modular")
     return scale * value
@@ -311,23 +354,20 @@ def k_interval(phi, weight, f):
     layout = _finite_layout(weight, f)
     if layout is None:
         raise DomainError("K(f) is computed for finite elements")
-    values, masses = layout.values, layout.w_masses
-    if values.size == 0:
+    modular_at, scale = _unit_scalings(layout.values, layout.w_masses)
+    if scale == 0.0:
         raise DomainError("K(f) is undefined for the zero element")
     conj = phi.conjugate()
-    scale = float(values[0])
-    unit = values / scale
 
     def log_conj_side(k):
-        total = _finite_modular(lambda t: conj.value(phi.derivative(t)),
-                                k * unit, masses)
+        total = modular_at(lambda t: conj.value(phi.derivative(t)), k)
         return math.log(total) if total > 0.0 else -math.inf
 
     _, lower = solvers.increasing_root(log_conj_side, rel_tol=1e-13)
     _, upper = solvers.increasing_root(log_conj_side, rel_tol=1e-13,
                                        strict=True)
     mid = 0.5 * (lower + upper)
-    modular = _finite_modular(phi.value, mid * unit, masses)
+    modular = modular_at(phi.value, mid)
     return KInterval(lower / scale, upper / scale,
                      scale * (1.0 + modular) / mid)
 
@@ -465,7 +505,6 @@ def truncate(f, n):
 
 def truncation_remainder(f, n):
     """f minus its truncation at level n, as an element."""
-    from .rearrange import BandComplement, ShiftedSeqTail
     n = _check_truncation_index(n)
     if isinstance(f, StepFunction):
         kept = tuple((v, m) for v, m in f.atoms
@@ -482,40 +521,14 @@ def truncation_remainder(f, n):
     raise DomainError(f"unknown element type: {type(f).__name__}")
 
 
-def theta(phi, weight, f, *, rel_tol=1e-3):
+def theta(phi, weight, f):
     """Finiteness threshold inf{lam > 0 : modular(f / lam) < inf}.
 
-    Zero for every finite-support element.  For parametric profiles the
-    modular's convergence is classified by the exponent fit and the boundary
-    located by bisection; the result lam satisfies the guarantee that
-    modular(f / (lam (1 + 5 rel_tol))) is classified finite and
-    modular(f / (lam (1 - 5 rel_tol))) divergent.
+    Read from the growth types by `_threshold`: a / (1 - beta) for a head
+    a log(1/t) under ExpOrlicz, a (1 - beta) for a tail a / log i under
+    FlatZeroOrlicz, else 0, or NotInSpaceError when no scaling converges.
     """
-    if isinstance(f, (StepFunction, FiniteSequence)):
-        return 0.0
-    if isinstance(getattr(f, "source", f), BandRestriction):
-        return 0.0
-    if isinstance(f, DecreasingProfile):
-        def diverges(lam):
-            return _profile_diverges(phi.value, weight,
-                                     f.scaled(1.0 / lam))
-    elif isinstance(f, DecreasingSeqProfile):
-        def diverges(lam):
-            return _seq_profile_diverges(phi.value, weight,
-                                         f.scaled(1.0 / lam))
-    else:
-        raise DomainError(f"unknown element type: {type(f).__name__}")
-
-    try:
-        boundary = solvers.smallest_satisfying(
-            lambda lam: not diverges(lam), rel_tol=rel_tol)
-    except ConvergenceError as exc:
-        raise NotInSpaceError(
-            "modular divergent at every tested scaling") from exc
-    if boundary <= 2.0 * solvers.FLOOR:
-        return 0.0
-    if diverges(boundary * (1.0 + 5.0 * rel_tol)) or \
-            not diverges(boundary * (1.0 - 5.0 * rel_tol)):
-        raise UndecidedError(
-            "threshold guarantee failed at the bisection boundary")
-    return boundary
+    value = _threshold(phi.growth, weight, f)
+    if math.isinf(value):
+        raise NotInSpaceError("the modular diverges at every scaling")
+    return value

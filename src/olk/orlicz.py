@@ -19,6 +19,11 @@ Families:
 
 Values and derivatives accept scalars or numpy arrays of nonnegative numbers.
 Instances are treated as immutable; the conjugate is computed once and cached.
+
+`growth` and `young_growth` give the types of phi and of u p(u) - phi(u)
+at 0 and at infinity: (r, b) is u^r l^b with l = log(1/u) at 0 and log u
+at infinity, (0, 0) a bounded function; "exp" and "flat" grow as exp(u)
+and exp(-1/u), "zero" vanishes near 0 and "cap" is +inf beyond a point.
 """
 
 import math
@@ -72,12 +77,39 @@ def _small_by_series(arr, out, coeffs):
     return out
 
 
+def _conjugate_type(kind, at_zero):
+    """Growth type of phi* at one end from that of phi there."""
+    if isinstance(kind, tuple) and kind[0] > 1.0:
+        r, b = kind
+        return (r / (r - 1.0), -b / (r - 1.0))
+    if kind == (1.0, 0.0):
+        # phi* = 0 up to the first slope, +inf beyond the last
+        return "zero" if at_zero else "cap"
+    return {"exp": (1.0, 1.0), (1.0, 1.0): "exp",
+            "flat": (1.0, -1.0), (1.0, -1.0): "flat"}.get(kind)
+
+
+def _young_type(kind, at_zero):
+    """Growth type of u p(u) - phi(u) at one end from that of phi there."""
+    if kind == (1.0, 0.0):
+        return "zero" if at_zero else (0.0, 0.0)
+    if isinstance(kind, tuple) and kind[0] == 1.0:
+        return (1.0, kind[1] - 1.0)
+    return kind
+
+
 class OrliczFunction:
-    """Common surface: value, right derivative, conjugate."""
+    """Common surface: value, right derivative, conjugate, growth types."""
 
     is_n_function = True
     tol_abs = 1e-10
     tol_rel = 1e-8
+    growth = (None, None)   # unknown at both ends
+
+    @property
+    def young_growth(self):
+        return (_young_type(self.growth[0], True),
+                _young_type(self.growth[1], False))
 
     def value(self, u):
         raise NotImplementedError
@@ -118,6 +150,7 @@ class PowerOrlicz(OrliczFunction):
         if not (self.scale > 0.0 and math.isfinite(self.scale)):
             raise ValidationError("scale must be finite and > 0",
                                   field="phi.scale")
+        self.growth = ((self.exponent, 0.0), (self.exponent, 0.0))
 
     def value(self, u):
         arr = _as_array(u)
@@ -140,6 +173,8 @@ class PowerOrlicz(OrliczFunction):
 class ExpOrlicz(OrliczFunction):
     """exp(t) - t - 1; doubling fails at infinity, holds near zero."""
 
+    growth = ((2.0, 0.0), "exp")
+
     def value(self, u):
         arr = _as_array(u)
         with np.errstate(over="ignore"):
@@ -161,6 +196,8 @@ class ExpOrlicz(OrliczFunction):
 @dataclass(eq=True)
 class LogOrlicz(OrliczFunction):
     """(1 + t) log(1 + t) - t; doubling holds everywhere."""
+
+    growth = ((2.0, 0.0), (1.0, 1.0))
 
     def value(self, u):
         arr = _as_array(u)
@@ -189,6 +226,7 @@ class FlatZeroOrlicz(OrliczFunction):
     """
 
     cutoff: float = 0.4
+    growth = ("flat", (2.0, 0.0))
 
     def __post_init__(self):
         if not (0.0 < self.cutoff < 0.5):
@@ -234,6 +272,7 @@ class TabulatedOrlicz(OrliczFunction):
 
     knots: tuple = ((0.0, 0.0), (1.0, 1.0))
     is_n_function = False
+    growth = ((1.0, 0.0), (1.0, 0.0))
 
     def __post_init__(self):
         knots = tuple((float(t), float(y)) for t, y in self.knots)
@@ -286,6 +325,8 @@ class NumericConjugate(OrliczFunction):
 
     def __post_init__(self):
         self.is_n_function = self.base.is_n_function
+        self.growth = (_conjugate_type(self.base.growth[0], True),
+                       _conjugate_type(self.base.growth[1], False))
 
     def _boundaries(self, targets, strict):
         """Smallest u with p(u) > target (strict) or p(u) >= target, per
@@ -341,62 +382,45 @@ def young_gap(phi, u, v):
     return phi.value(u) + phi.conjugate().value(v) - np.asarray(u) * np.asarray(v)
 
 
-def _doubling_ratio(phi, grid):
-    lo = phi.value(grid)
-    hi = phi.value(2.0 * grid)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(lo > 0.0, hi / np.maximum(lo, 1e-300), np.inf)
-    return ratio
-
-
 def delta2_classify(phi):
     """Doubling-condition report for one Orlicz function.
 
     Returns a dict with boolean keys "global", "at_infinity", "at_zero",
-    a float "K_estimate" (supremum of phi(2u)/phi(u) over the range on which
-    the strongest true condition is quoted) and "heuristic" marking families
-    classified by sampling rather than by closed-form growth.
+    true at an end of growth type (r, b) or "zero"; a float "K_estimate",
+    the supremum of phi(2u)/phi(u) over a grid of the range on which the
+    strongest true condition is quoted; and "heuristic", False, as no
+    condition is sampled.
     """
-    if isinstance(phi, NumericConjugate):
-        if isinstance(phi.base, FlatZeroOrlicz):
-            # quadratic tail of the base makes the conjugate quadratic at
-            # infinity; flatness of the base at zero turns into a mildly
-            # varying slope at zero, so doubling holds everywhere
-            grid = np.logspace(-6, 3, 181)
-            ratio = _doubling_ratio(phi, grid)
-            return {"global": True, "at_infinity": True, "at_zero": True,
-                    "K_estimate": float(np.max(ratio)), "heuristic": True}
-        hi = 0.0
-        if isinstance(phi.base, TabulatedOrlicz):
-            hi = math.log10(phi.base._slopes[-1] / 2.0)
-        grid = np.logspace(-8, hi, 161)
-        ratio = _doubling_ratio(phi, grid)
-        return {"global": True, "at_infinity": True, "at_zero": True,
-                "K_estimate": float(np.max(ratio)), "heuristic": True}
+    at_zero, at_infinity = (isinstance(kind, tuple) or kind == "zero"
+                            for kind in phi.growth)
+    return {"global": at_zero and at_infinity, "at_infinity": at_infinity,
+            "at_zero": at_zero, "K_estimate": _doubling_constant(phi),
+            "heuristic": False}
+
+
+def _doubling_constant(phi):
     if isinstance(phi, PowerOrlicz):
-        return {"global": True, "at_infinity": True, "at_zero": True,
-                "K_estimate": 2.0**phi.exponent, "heuristic": False}
-    if isinstance(phi, ExpOrlicz):
+        return 2.0**phi.exponent
+    floor = 0.0
+    base = phi.base if isinstance(phi, NumericConjugate) else None
+    if isinstance(base, FlatZeroOrlicz):
+        grid = np.logspace(-6, 3, 181)
+    elif isinstance(base, TabulatedOrlicz):
+        grid = np.logspace(-8, math.log10(base._slopes[-1] / 2.0), 161)
+    elif isinstance(phi, (NumericConjugate, ExpOrlicz)):
         grid = np.logspace(-8, 0, 161)
-        ratio = _doubling_ratio(phi, grid)
-        return {"global": False, "at_infinity": False, "at_zero": True,
-                "K_estimate": float(np.max(ratio)), "heuristic": False}
-    if isinstance(phi, LogOrlicz):
+    elif isinstance(phi, LogOrlicz):
         grid = np.logspace(-8, 8, 321)
-        ratio = _doubling_ratio(phi, grid)
-        return {"global": True, "at_infinity": True, "at_zero": True,
-                "K_estimate": float(np.max(ratio)), "heuristic": False}
-    if isinstance(phi, FlatZeroOrlicz):
+    elif isinstance(phi, FlatZeroOrlicz):
         grid = np.logspace(math.log10(phi.cutoff), 8, 161)
-        ratio = _doubling_ratio(phi, grid)
-        return {"global": False, "at_infinity": True, "at_zero": False,
-                "K_estimate": float(np.max(ratio)), "heuristic": False}
-    if isinstance(phi, TabulatedOrlicz):
+    elif isinstance(phi, TabulatedOrlicz):
         lo = max(phi._ts[1] * 1e-3, 1e-12)
-        hi = phi._ts[-1] * 10.0
-        grid = np.logspace(math.log10(lo), math.log10(hi), 201)
-        ratio = _doubling_ratio(phi, grid)
-        return {"global": True, "at_infinity": True, "at_zero": True,
-                "K_estimate": float(max(np.max(ratio), 2.0)),
-                "heuristic": True}
-    raise DomainError(f"unknown Orlicz family: {type(phi).__name__}")
+        grid = np.logspace(math.log10(lo), math.log10(phi._ts[-1] * 10.0),
+                           201)
+        floor = 2.0
+    else:
+        raise DomainError(f"unknown Orlicz family: {type(phi).__name__}")
+    lo, hi = phi.value(grid), phi.value(2.0 * grid)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(lo > 0.0, hi / np.maximum(lo, 1e-300), np.inf)
+    return float(max(np.max(ratio), floor))

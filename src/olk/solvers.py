@@ -16,8 +16,6 @@ bisection's rate.
 
 The two norm engines instantiate it: `gauge_norm` on the log of the
 modular and `amemiya_norm` on the Young side of the Amemiya form.
-`smallest_satisfying` is a plain bisection on a monotone predicate that
-has no function values to interpolate.
 """
 
 import math
@@ -27,44 +25,11 @@ import numpy as np
 from .errors import ConvergenceError
 
 CAP = 2.0**60
-FLOOR = 2.0**-60
 
-# log2 of the probes of the bracket walk, taken from 1 toward CAP or FLOOR
+# log2 of the probes of the bracket walk, taken from 1 toward CAP or 2^-60
 _WALK = (2.0, 4.0, 8.0, 16.0, 32.0, 60.0)
-# -log2 of the probes below FLOOR, for functions still satisfied there
+# -log2 of the probes below 2^-60, for functions still satisfied there
 _DEEP = (120.0, 240.0, 480.0, 960.0)
-
-
-def smallest_satisfying(predicate, *, hint=1.0, rel_tol=1e-10, abs_tol=0.0,
-                        cap=CAP, floor=FLOOR):
-    """Boundary of a monotone predicate: smallest x > 0 with predicate(x).
-
-    predicate must be False on (0, x0) and True on [x0, inf).  Returns the
-    upper end of the final bracket, so the result satisfies the predicate.
-    Raises ConvergenceError if no x <= cap satisfies it; returns floor if
-    every probed x >= floor does.
-    """
-    x = float(hint)
-    if predicate(x):
-        hi, lo = x, x / 2.0
-        while predicate(lo):
-            hi, lo = lo, lo / 2.0
-            if lo < floor:
-                return floor
-    else:
-        lo, hi = x, x * 2.0
-        while not predicate(hi):
-            lo, hi = hi, hi * 2.0
-            if hi > cap:
-                raise ConvergenceError(
-                    f"predicate not satisfied for any argument up to {cap:g}")
-    while hi - lo > max(abs_tol, rel_tol * abs(hi)):
-        mid = 0.5 * (lo + hi)
-        if predicate(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def increasing_roots(fn, size, *, rel_tol=1e-10, strict=False):
@@ -74,7 +39,7 @@ def increasing_roots(fn, size, *, rel_tol=1e-10, strict=False):
     number idx[k].  Function i is satisfied at c when its value there is
     >= 0 (> 0 if strict); NaN counts as unsatisfied and infinite values
     are legal.  Each bracket is found by a walk from c = 1 through
-    c = 2^±2, 2^±4, ..., 2^±32, 2^±60, continued below FLOOR through
+    c = 2^±2, 2^±4, ..., 2^±32, 2^±60, continued below 2^-60 through
     2^-120, 2^-240, 2^-480, 2^-960 for functions still satisfied there,
     and narrowed by ITP in x = log2 c.  All functions step in lockstep,
     one call of fn per step on those whose bracket is still open, and the

@@ -48,6 +48,14 @@ def test_large_n_pool_passes_its_checks(bench):
         assert bench.check_op(olk, "large-n", op, op.call()) is None, op.kind
 
 
+def test_profiles_theta_ops_pass_their_checks(bench):
+    pool = bench.build_pool(olk, "profiles", SEED)
+    thetas = [op for op in pool if op.kind == "theta"]
+    assert len(thetas) == 8
+    for op in thetas:
+        assert bench.check_op(olk, "profiles", op, op.call()) is None, op.ref
+
+
 def test_cli_cold_commands_pass_their_checks(bench):
     pool = bench.build_pool(olk, "cli-cold", SEED, 7)
     kinds = {op.kind for op in pool}

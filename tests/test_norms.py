@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import olk
-from olk.errors import DomainError, NotInSpaceError
+from olk.errors import DomainError, NotInSpaceError, UndecidedError
+from olk.rearrange import DecreasingProfile
 
 from conftest import (dyadic, rand_phi, rand_seq, rand_seq_weight, rand_step,
                       rand_step_weight)
@@ -51,13 +52,11 @@ def test_modular_of_log_tail_profile_quadrature():
 
 
 def test_modular_divergence_detected():
-    # 1/log decays too slowly for any power gauge: modular is infinite
+    # the square of log(1 + 1/t) is integrable at both ends (its modular is
+    # pi^2/6 above); the square of t^(-1/4) is not integrable at infinity
     phi = olk.PowerOrlicz(2.0, 0.5)
     w = olk.StepWeight(((math.inf, 1.0),))
-    f = olk.LogTailProfile(1.0)
-    # the head is integrable but the tail of the square is not summable
-    # against w = 1 at scale 1, so the gauge must stay finite anyway; use a
-    # power profile with a fat tail instead for a clean divergence
+    assert math.isfinite(olk.rho_modular(phi, w, olk.LogTailProfile(1.0)))
     fat = olk.PowerTailProfile(0.25, 1.0)
     assert math.isinf(olk.rho_modular(phi, w, fat))
 
@@ -421,6 +420,63 @@ def test_theta_scales_with_amplitude():
     f = olk.LogSeqTail(0.75)
     th = olk.theta(phi, w, f)
     assert th == pytest.approx(0.75, abs=0.04)
+
+
+LEBESGUE = olk.StepWeight(((math.inf, 1.0),))
+THETA_TABLE = [
+    (olk.ExpOrlicz(), LEBESGUE, olk.LogTailProfile(1.0), 1.0),
+    (olk.ExpOrlicz(), olk.PowerWeight(0.5), olk.LogTailProfile(0.3), 0.6),
+    (olk.ExpOrlicz(), olk.StepWeight(((1.0, 2.0), (math.inf, 1.0))),
+     olk.LogTailProfile(0.4), 0.4),
+    (olk.ExpOrlicz(), LEBESGUE,
+     olk.truncation_remainder(olk.LogTailProfile(1.0), 4), 1.0),
+    (olk.FlatZeroOrlicz(), olk.ConstantSeqWeight(1.0), olk.LogSeqTail(0.75),
+     0.75),
+    (olk.FlatZeroOrlicz(), olk.ConstantSeqWeight(1.0),
+     olk.ShiftedSeqTail(olk.LogSeqTail(0.75), 3), 0.75),
+    (olk.FlatZeroOrlicz(), olk.PowerSeqWeight(0.5), olk.LogSeqTail(0.75),
+     0.375),
+    (olk.ExpOrlicz(), olk.PowerSeqWeight(0.25), olk.PowerSeqTail(0.8), 0.0),
+    (olk.ExpOrlicz(), olk.HarmonicSeqWeight(), olk.LogSeqTail(1.0), 0.0),
+    (olk.PowerOrlicz(2.0, 0.5), LEBESGUE, olk.LogTailProfile(1.0), 0.0),
+]
+
+
+@pytest.mark.parametrize("phi, w, f, expected", THETA_TABLE)
+def test_theta_closed_form(phi, w, f, expected):
+    assert olk.theta(phi, w, f) == expected
+
+
+@pytest.mark.parametrize("phi, w, f, expected", THETA_TABLE)
+@pytest.mark.parametrize("k", [-40, -3, 5, 60])
+def test_theta_is_exactly_homogeneous(phi, w, f, expected, k):
+    assert olk.theta(phi, w, f.scaled(2.0**k)) == 2.0**k * expected
+
+
+@pytest.mark.parametrize("phi", [olk.PowerOrlicz(2.0, 0.5), olk.ExpOrlicz()])
+def test_theta_of_a_fat_power_tail_is_not_in_space(phi):
+    with pytest.raises(NotInSpaceError):
+        olk.theta(phi, LEBESGUE, olk.PowerTailProfile(0.3))
+
+
+class _Unlisted(DecreasingProfile):
+    """exp(-t): a profile with no growth types."""
+
+    def __init__(self, amplitude=1.0):
+        self.amplitude = amplitude
+
+    def value(self, t):
+        return self.amplitude * np.exp(-np.asarray(t, dtype=float))
+
+    def scaled(self, c):
+        return _Unlisted(self.amplitude * c)
+
+
+@pytest.mark.parametrize("fn", [olk.rho_modular, olk.luxemburg_norm,
+                                olk.orlicz_norm_amemiya, olk.theta])
+def test_profile_outside_the_catalog_is_undecided(fn):
+    with pytest.raises(UndecidedError):
+        fn(olk.PowerOrlicz(2.0, 0.5), LEBESGUE, _Unlisted())
 
 
 def test_theta_below_gauge_norm(lebesgue_weight):

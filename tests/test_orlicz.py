@@ -289,6 +289,37 @@ def test_delta2_classification():
     assert olk.delta2_classify(olk.LogOrlicz())["global"] is True
 
 
+@pytest.mark.parametrize("phi, at_zero, at_infinity", [
+    (olk.PowerOrlicz(2.0, 0.5), True, True),
+    (olk.ExpOrlicz(), True, False),
+    (olk.LogOrlicz(), True, True),
+    (olk.FlatZeroOrlicz(), False, True),
+    (olk.TabulatedOrlicz(((0.0, 0.0), (1.0, 1.0), (2.0, 3.0))), True, True),
+    # phi* of a tabulated phi is +inf beyond the last slope
+    (olk.TabulatedOrlicz(((0.0, 0.0), (1.0, 1.0),
+                          (2.0, 3.0))).conjugate(), True, False),
+    (olk.FlatZeroOrlicz().conjugate(), True, True),
+])
+def test_delta2_follows_the_growth_types(phi, at_zero, at_infinity):
+    report = olk.delta2_classify(phi)
+    assert report["at_zero"] is at_zero
+    assert report["at_infinity"] is at_infinity
+    assert report["global"] is (at_zero and at_infinity)
+    assert report["heuristic"] is False
+
+
+def test_conjugate_growth_of_flat_zero_at_zero():
+    # phi* of exp(-1/u) is v / log(1/v) near 0, its Young function
+    # v / log(1/v)^2: the ratios below tend to 1 as v -> 0
+    conj = olk.FlatZeroOrlicz().conjugate()
+    assert conj.growth[0] == (1.0, -1.0)
+    assert conj.young_growth[0] == (1.0, -2.0)
+    v = 1e-100
+    ell = math.log(1.0 / v)
+    assert conj.value(v) * ell / v == pytest.approx(1.0, abs=0.06)
+    assert conj.young(v) * ell**2 / v == pytest.approx(1.0, abs=0.1)
+
+
 def test_delta2_power_constant():
     report = olk.delta2_classify(olk.PowerOrlicz(2.0, 0.5))
     assert report["K_estimate"] == pytest.approx(4.0, rel=1e-9)
