@@ -17,6 +17,14 @@ Families:
 * TabulatedOrlicz  piecewise-linear convex interpolation of knot data; not an
                    N-function at infinity (linear tail)
 
+Every family has its conjugate in closed form: PowerOrlicz, ExpOrlicz and
+LogOrlicz pair among themselves, FlatZeroOrlicz gives FlatZeroConjugate (the
+lower Lambert W branch below the cutoff's slope, linear above it) and
+TabulatedOrlicz gives TabulatedConjugate (piecewise linear, knots and slopes
+swapped).  NumericConjugate solves for the conjugate of any Orlicz function
+from its derivative; it is the default for functions outside the catalog and
+the independent route the closed forms are checked against.
+
 Values and derivatives accept scalars or numpy arrays of nonnegative numbers.
 Instances are treated as immutable; the conjugate is computed once and cached.
 
@@ -42,7 +50,8 @@ __all__ = [
 
 def _as_array(u):
     arr = np.asarray(u, dtype=float)
-    if arr.size and (not np.all(np.isfinite(arr)) or np.any(arr < 0.0)):
+    # two reductions; a NaN fails both comparisons
+    if arr.size and not (arr.min() >= 0.0 and arr.max() < math.inf):
         raise DomainError("arguments must be finite and nonnegative")
     return arr
 
@@ -53,28 +62,61 @@ def _like(arr, template):
     return arr
 
 
-# below this argument exp(u) - u - 1 and (1 + u) log(1 + u) - u, which are
-# u^2 / 2 to leading order, lose to cancellation about eps / u of relative
-# precision; their Taylor series at 0, coefficients of u^2, u^3, ..., take
-# over there, cut where the next term is below 2^-60 of the first
-_SERIES_BELOW = 2.0**-5
-_EXP_SERIES = tuple(1.0 / math.factorial(k) for k in range(2, 11))
-_LOG_SERIES = tuple((-1.0)**k / (k * (k - 1)) for k in range(2, 14))
+# exp(u) - 1 - u and (1 + u) log(1 + u) - u are u^2 / 2 to leading order,
+# so their closed forms lose to cancellation the rounding error of expm1(u)
+# or log1p(u), up to 1 / (2u) ulp of the result.  Below u = 1 both are
+# summed from series with positive terms instead, within 2 ulp:
+# exp(u) - 1 - u = u^2 / 2! + u^3 / 3! + ..., and with w = log(1 + u) and
+# d = u - w (exact), (1 + u) w - u = w^2 / 2 + (w d - w^3 / 3! - w^4 / 4!
+# - ...), which is u w - (exp(w) - 1 - w) and so, like Young's equality it
+# comes from, insensitive to the rounding of w to first order.  Each series
+# is cut where the next term at u = 1 (w = log 2) is below 2^-60 of the
+# first.
+_SERIES_BELOW = 1.0
+_EXP_SERIES = tuple(1.0 / math.factorial(k) for k in range(2, 20))
+_LOG_TAIL = _EXP_SERIES[1:16]
 
 
-def _small_by_series(arr, out, coeffs):
-    """out, with the entries where arr < _SERIES_BELOW replaced by the
-    series u^2 (c_0 + c_1 u + ...) of the same function."""
-    small = arr < _SERIES_BELOW
-    if not small.any():
-        return out
-    out = np.asarray(out)
-    u = arr[small]
-    tail = coeffs[-1]
+def _series(u, coeffs):
+    """c_0 u^2 + (c_1 u + c_2 u^2 + ...) u^2, the leading term added last."""
+    tail = np.full_like(u, coeffs[-1])
     for c in coeffs[-2:0:-1]:
-        tail = tail * u + c
-    out[small] = coeffs[0] * (u * u) + tail * u * (u * u)
+        tail *= u
+        tail += c
+    tail *= u
+    square = u * u
+    tail *= square
+    tail += coeffs[0] * square
+    return tail
+
+
+def _exp_minus_linear(arr):
+    """exp(u) - 1 - u for an array of u >= 0."""
+    small = arr < _SERIES_BELOW
+    if small.all():
+        return _series(arr, _EXP_SERIES)
+    with np.errstate(over="ignore"):
+        out = np.expm1(arr) - arr
+    if small.any():
+        out[small] = _series(arr[small], _EXP_SERIES)
     return out
+
+
+def _log_minus_linear(arr):
+    """(1 + u) log(1 + u) - u for an array of u >= 0."""
+    w = np.log1p(arr)
+    small = arr < _SERIES_BELOW
+    if small.all():
+        return _log_by_series(arr, w)
+    out = (1.0 + arr) * w - arr
+    if small.any():
+        out[small] = _log_by_series(arr[small], w[small])
+    return out
+
+
+def _log_by_series(u, w):
+    d = u - w
+    return 0.5 * (w * w) + (w * d - _series(w, _LOG_TAIL) * w)
 
 
 def _conjugate_type(kind, at_zero):
@@ -177,9 +219,7 @@ class ExpOrlicz(OrliczFunction):
 
     def value(self, u):
         arr = _as_array(u)
-        with np.errstate(over="ignore"):
-            out = np.expm1(arr) - arr
-        return _like(_small_by_series(arr, out, _EXP_SERIES), u)
+        return _like(_exp_minus_linear(arr), u)
 
     def derivative(self, u):
         arr = _as_array(u)
@@ -201,8 +241,7 @@ class LogOrlicz(OrliczFunction):
 
     def value(self, u):
         arr = _as_array(u)
-        out = (1.0 + arr) * np.log1p(arr) - arr
-        return _like(_small_by_series(arr, out, _LOG_SERIES), u)
+        return _like(_log_minus_linear(arr), u)
 
     def derivative(self, u):
         arr = _as_array(u)
@@ -254,9 +293,13 @@ class FlatZeroOrlicz(OrliczFunction):
         arr = _as_array(u)
         with np.errstate(divide="ignore"):
             safe = np.maximum(arr, 1e-300)
-            head = np.exp(-1.0 / safe) / safe**2
+            # 0, not 0 / 0, where safe^2 underflows
+            head = np.exp(-1.0 / safe) / np.maximum(safe**2, 1e-300)
         tail = self._p_c + self._curv * (arr - self.cutoff)
         return _like(np.where(arr <= self.cutoff, head, tail), u)
+
+    def _build_conjugate(self):
+        return FlatZeroConjugate(self)
 
 
 @dataclass(eq=True)
@@ -308,17 +351,18 @@ class TabulatedOrlicz(OrliczFunction):
         seg = np.clip(seg, 0, len(self._slopes) - 1)
         return _like(self._slopes[seg], u)
 
+    def _build_conjugate(self):
+        return TabulatedConjugate(self)
+
 
 @dataclass(eq=True)
-class NumericConjugate(OrliczFunction):
-    """Conjugate computed from the base function's right derivative.
+class Conjugate(OrliczFunction):
+    """The convex conjugate of `base`.
 
-    value(v) finds the smallest u with p(u) >= v and returns u*v - phi(u);
-    derivative(v) is the generalized inverse sup{u : p(u) <= v}, the
-    smallest u with p(u) > v.  Both solve log p(u) = log v with the
-    package's root-finder, all entries of an array in lockstep, one
-    vectorised call of the base derivative per step.  Used for families
-    without a closed-form partner.
+    Its growth types follow from the base's, `young(v)` is phi(q(v)), which
+    Young's equality makes v q(v) - phi*(v), and `conjugate()` gives the base
+    back.  Subclasses supply value(v) = sup_u [u v - phi(u)] and derivative
+    q(v) = sup{u : p(u) <= v}, the smallest u with p(u) > v.
     """
 
     base: OrliczFunction
@@ -327,6 +371,25 @@ class NumericConjugate(OrliczFunction):
         self.is_n_function = self.base.is_n_function
         self.growth = (_conjugate_type(self.base.growth[0], True),
                        _conjugate_type(self.base.growth[1], False))
+
+    def young(self, v):
+        return self.base.value(self.derivative(v))
+
+    def _build_conjugate(self):
+        return self.base
+
+
+class NumericConjugate(Conjugate):
+    """Conjugate computed from the base function's right derivative.
+
+    value(v) finds the smallest u with p(u) >= v and returns u*v - phi(u);
+    derivative(v) finds the smallest u with p(u) > v.  Both solve
+    log p(u) = log v with the package's root-finder, all entries of an
+    array in lockstep, one vectorised call of the base derivative per step,
+    to within 1e-12 relative in u.  The default conjugate of a family
+    without a closed-form partner, and the independent route against which
+    the closed forms are checked.
+    """
 
     def _boundaries(self, targets, strict):
         """Smallest u with p(u) > target (strict) or p(u) >= target, per
@@ -368,13 +431,105 @@ class NumericConjugate(OrliczFunction):
         out[positive] = self._boundaries(flat[positive], strict=True)
         return _like(out.reshape(np.shape(arr)), v)
 
-    def young(self, v):
-        """phi(q(v)), which Young's equality makes v q(v) - phi*(v): one
-        solve instead of the two that value and derivative take."""
-        return self.base.value(self.derivative(v))
 
-    def _build_conjugate(self):
-        return self.base
+# -W_{-1}(-e^-m) for m >= 1, the root y >= 1 of y - log y = m (Corless et
+# al., "On the Lambert W function", Adv. Comput. Math. 5, 1996): Halley
+# steps from the branch-point series in s = sqrt(2 (1 - e^(1 - m))) below
+# m = 2 and from the asymptotic L1 - L2 + L2 / L1 above it; each entry
+# stops once |y - log y - m| <= _LAMBERT_TOL * y, within a few rounding
+# errors of evaluating it, three steps at most from either start
+_BRANCH_SERIES = (221.0 / 8505.0, 769.0 / 17280.0, 43.0 / 540.0,
+                  11.0 / 72.0, 1.0 / 3.0, 1.0, 1.0)
+_LAMBERT_TOL = 2.0**-51
+_LAMBERT_STEPS = 8
+
+
+def _lower_branch(m):
+    s = np.sqrt(np.maximum(-2.0 * np.expm1(1.0 - m), 0.0))
+    near = np.zeros_like(s)
+    for c in _BRANCH_SERIES:
+        near = near * s + c
+    log_m = np.log(m)
+    y = np.where(m < 2.0, near, m + log_m + log_m / m)
+    for _ in range(_LAMBERT_STEPS):
+        h = y - np.log(y) - m
+        open_ = np.abs(h) > _LAMBERT_TOL * y
+        if not open_.any():
+            return y
+        slope = 1.0 - 1.0 / y
+        step = 2.0 * h * slope / (2.0 * slope * slope - h / (y * y))
+        y = np.where(open_, np.maximum(y - step, 1.0), y)
+    raise ConvergenceError("Lambert W iteration did not converge")
+
+
+class FlatZeroConjugate(Conjugate):
+    """Conjugate of FlatZeroOrlicz in closed form.
+
+    p is continuous and increasing, so q(v) is the u with p(u) = v and
+    q(0) = 0.  Below p(cutoff), e^(-1/u) / u^2 = v gives u = 1 / z with
+    z = -2 W_{-1}(-sqrt(v) / 2); above it p is linear and so is q.  Then
+    phi*(v) = v q(v) - phi(q(v)) and young(v) = phi(q(v)).
+    """
+
+    def _inverse(self, arr):
+        base = self.base
+        flat = np.atleast_1d(arr)
+        # the linear branch everywhere, the head overwritten below
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            u = base.cutoff + (flat - base._p_c) / base._curv
+        head = (flat > 0.0) & (flat <= base._p_c)
+        if head.any():
+            m = math.log(2.0) - 0.5 * np.log(flat[head])
+            # clipped, so rounding cannot put q past the linear branch's
+            # start and break its monotonicity at p(cutoff)
+            u[head] = np.minimum(0.5 / _lower_branch(m), base.cutoff)
+        u[flat == 0.0] = 0.0
+        if u.size and not u.max() < math.inf:
+            raise ConvergenceError(
+                f"conjugate undefined: q({flat.max():g}) overflows")
+        return u.reshape(np.shape(arr))
+
+    def derivative(self, v):
+        return _like(self._inverse(_as_array(v)), v)
+
+    def value(self, v):
+        """v q(v) - phi(q(v)), +inf where both terms overflow."""
+        arr = _as_array(v)
+        u = self._inverse(arr)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = arr * u - self.base.value(u)
+        return _like(np.where(np.isnan(out), np.inf, out), v)
+
+
+class TabulatedConjugate(Conjugate):
+    """Conjugate of TabulatedOrlicz in closed form.
+
+    With knots (t_j, y_j) and chord slopes s_1 < s_2 < ... < s_n, phi* is
+    piecewise linear with the roles swapped: phi*(v) = v t_j - y_j for v in
+    [s_j, s_{j+1}] (s_0 = 0), q(v) = t_j for v in [s_j, s_{j+1}), and
+    phi* = +inf beyond s_n, where value raises ConvergenceError, as
+    derivative and young do from s_n on.
+    """
+
+    def _knot(self, v, strict):
+        """Index of the first knot where p(u) > v (strict) or >= v."""
+        slopes = self.base._slopes
+        j = np.searchsorted(slopes, v, side="right" if strict else "left")
+        if np.any(j == slopes.size):
+            raise ConvergenceError(
+                "conjugate undefined: the derivative never reaches "
+                f"{np.max(v):g}; the base function is not an N-function at "
+                "infinity")
+        return j
+
+    def value(self, v):
+        arr = _as_array(v)
+        j = self._knot(arr, strict=False)
+        return _like(arr * self.base._ts[j] - self.base._ys[j], v)
+
+    def derivative(self, v):
+        arr = _as_array(v)
+        return _like(self.base._ts[self._knot(arr, strict=True)], v)
 
 
 def young_gap(phi, u, v):
@@ -402,12 +557,12 @@ def _doubling_constant(phi):
     if isinstance(phi, PowerOrlicz):
         return 2.0**phi.exponent
     floor = 0.0
-    base = phi.base if isinstance(phi, NumericConjugate) else None
+    base = phi.base if isinstance(phi, Conjugate) else None
     if isinstance(base, FlatZeroOrlicz):
         grid = np.logspace(-6, 3, 181)
     elif isinstance(base, TabulatedOrlicz):
         grid = np.logspace(-8, math.log10(base._slopes[-1] / 2.0), 161)
-    elif isinstance(phi, (NumericConjugate, ExpOrlicz)):
+    elif isinstance(phi, (Conjugate, ExpOrlicz)):
         grid = np.logspace(-8, 0, 161)
     elif isinstance(phi, LogOrlicz):
         grid = np.logspace(-8, 8, 321)

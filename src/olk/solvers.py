@@ -2,10 +2,10 @@
 
 Every norm is the root of one nondecreasing function of a scaling, so one
 bracketed root-finder serves them all: `increasing_roots` solves many such
-functions at once in lockstep (the conjugate of a tabulated derivative
-solves one per array entry), and `increasing_root` is its size-1 form for
-the scalar norm solves.  It works in x = log2 of the scaling, where the
-modulars of power-like functions are close to linear, and runs ITP
+functions at once in lockstep (`NumericConjugate`, the numeric route to a
+conjugate, solves one per array entry), and `increasing_root` is its size-1
+form for the scalar norm solves.  It works in x = log2 of the scaling,
+where the modulars of power-like functions are close to linear, and runs ITP
 (Oliveira & Takahashi, "An enhancement of the bisection method average
 performance preserving minmax optimality", ACM TOMS 47(1), 2020): a
 regula falsi step, truncated toward the midpoint and projected into a

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .orlicz import (ExpOrlicz, FlatZeroOrlicz, LogOrlicz, NumericConjugate,
+from .orlicz import (Conjugate, ExpOrlicz, FlatZeroOrlicz, LogOrlicz,
                      OrliczFunction, PowerOrlicz, TabulatedOrlicz)
 from .rearrange import (BandComplement, BandRestriction, ConstantSeqWeight,
                         ExplicitSeqWeight, FiniteSequence, HarmonicSeqWeight,
@@ -241,7 +241,7 @@ def serialize_orlicz(phi):
     if isinstance(phi, TabulatedOrlicz):
         return {"family": "tabulated",
                 "knots": [list(k) for k in phi.knots]}
-    if isinstance(phi, NumericConjugate):
+    if isinstance(phi, Conjugate):
         return {"family": "conjugate_of", "base": serialize_orlicz(phi.base)}
     raise ValidationError("cannot serialize this Orlicz function",
                           field="phi")

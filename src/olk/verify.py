@@ -28,8 +28,8 @@ from .errors import UndecidedError
 from .norms import (amemiya_pairing_report, k_interval, luxemburg_norm,
                     orlicz_norm_amemiya, orlicz_norm_dual_sup_oracle,
                     rho_modular, theta)
-from .orlicz import (ExpOrlicz, LogOrlicz, NumericConjugate, PowerOrlicz,
-                     young_gap)
+from .orlicz import (ExpOrlicz, FlatZeroOrlicz, LogOrlicz, NumericConjugate,
+                     PowerOrlicz, TabulatedOrlicz, young_gap)
 from .rearrange import (ConstantSeqWeight, ExplicitSeqWeight, FiniteSequence,
                         HarmonicSeqWeight, PowerSeqWeight, StepFunction,
                         StepWeight, disjoint_sum, distribution,
@@ -658,6 +658,47 @@ def _g_monotone(rng, size):
                     for i in range(len(values) - 1)), default=0.0)
         out.append(("level_function_nonincreasing", _digest(h=h, w=w),
                     max(0.0, rise), 1e-12))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# cases: closed-form conjugates against the numeric route
+# (registered last, so the other cases keep their per-case seeds)
+
+@_case("orlicz.closed_conjugate")
+def _closed_conjugate(rng, size):
+    """FlatZeroOrlicz and TabulatedOrlicz conjugates against
+    NumericConjugate of the same base.  Its solve places q(v) within 1e-12
+    relative, so q agrees to about that; u v - phi(u) moves by |v - p(u)|
+    times it, at most 63 v here, so value is measured against v q(v),
+    which bounds it; young = phi(q) moves by the elasticity u p(u) / phi(u)
+    times it: 1 / u on the flat head, about 700 at v = 1e-300."""
+    flat = FlatZeroOrlicz(float(_dyadic(rng, 2, 7)))
+    lengths = _dyadic(rng, 4, 32, 4)
+    slopes = np.cumsum(_dyadic(rng, 4, 32, 4))
+    tabulated = TabulatedOrlicz(tuple(zip(
+        np.concatenate(([0.0], np.cumsum(lengths))).tolist(),
+        np.concatenate(([0.0], np.cumsum(lengths * slopes))).tolist())))
+    out = []
+    # below the last slope of the tabulated function; for the flat one
+    # on both sides of p(cutoff), plus the far ends of its head and tail
+    for phi, top, ends in ((flat, 1.0, [1e-300, 1e-20, 64.0]),
+                           (tabulated, float(slopes[-1]), [])):
+        closed, numeric = phi.conjugate(), NumericConjugate(phi)
+        v = np.concatenate(([0.0], np.sort(_dyadic(rng, 1, 63, 7)) / 64.0
+                            * top, ends))
+        pairing = v * numeric.derivative(v)
+        for quantity, tol in (("value", 1e-10), ("derivative", 1e-11),
+                              ("young", 1e-9)):
+            got = getattr(closed, quantity)(v)
+            want = getattr(numeric, quantity)(v)
+            scale = np.maximum(np.abs(got), np.abs(want))
+            if quantity == "value":
+                scale = np.maximum(scale, pairing)
+            worst = float(np.max(np.abs(got - want)
+                                 / np.maximum(scale, 1e-300)))
+            out.append((f"{quantity}_matches_numeric",
+                        _digest(phi=phi, v=v.tolist()), worst, tol))
     return out
 
 

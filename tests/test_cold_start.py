@@ -43,6 +43,9 @@ def test_cli_commands_run_without_scipy(tmp_path):
         "setting": "function",
         "phi": {"family": "power", "r": 2.0, "scale": 0.5},
         "weight": {"kind": "step", "pieces": [[2.0, 2.0], ["inf", 0.5]]}})
+    flat_space = _write(tmp_path, "flat_space", {
+        "setting": "function", "phi": {"family": "flat_zero", "cutoff": 0.4},
+        "weight": {"kind": "step", "pieces": [[2.0, 2.0], ["inf", 0.5]]}})
     exp_space = _write(tmp_path, "exp_space", {
         "setting": "function", "phi": {"family": "exp"},
         "weight": {"kind": "step", "pieces": [[1.0, 2.0], ["inf", 1.0]]}})
@@ -55,6 +58,9 @@ def test_cli_commands_run_without_scipy(tmp_path):
         ["dualnorm", "--space", space, "--element", f],
         ["level", "--space", space, "--element", f],
         ["kinterval", "--space", space, "--element", f],
+        # the conjugate side of FlatZeroOrlicz, in closed form
+        ["dualnorm", "--space", flat_space, "--element", f],
+        ["kinterval", "--space", flat_space, "--element", f],
         ["theta", "--space", exp_space, "--element", tail],
         ["witness", "--space", space, "--s", "0.5", "--u", "1.0"],
         ["holder", "--space", space, "--element", f, "--against", g],

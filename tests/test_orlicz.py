@@ -88,6 +88,36 @@ def test_small_argument_values_within_4_ulp(phi):
         assert phi.value(u) == value
 
 
+@pytest.mark.parametrize("phi", [olk.ExpOrlicz(), olk.LogOrlicz()],
+                         ids=["exp", "log"])
+def test_values_within_2_ulp_up_to_one(phi):
+    kind = "exp" if isinstance(phi, olk.ExpOrlicz) else "log"
+    rng = np.random.default_rng(3)
+    us = np.concatenate([np.logspace(-300.0, 0.0, 301),
+                         np.sort(rng.uniform(2.0**-6, 1.0, 1000)),
+                         2.0**-5 * (1.0 + np.arange(-50, 51) * 2.0**-52)])
+    got = phi.value(us)
+    for u, value in zip(us.tolist(), got.tolist()):
+        want = _decimal_reference(kind, u)
+        ulps = abs(Decimal(value) - want) / Decimal(math.ulp(float(want)))
+        assert ulps <= 2, (u, value)
+
+
+@pytest.mark.parametrize("phi", [olk.ExpOrlicz(), olk.LogOrlicz()],
+                         ids=["exp", "log"])
+@pytest.mark.parametrize("switch", [2.0**-5, 1.0])
+def test_values_are_monotone_across_the_series_switches(phi, switch):
+    # 2^-5, where the short series used to hand over to the closed forms,
+    # and 1, where the series hand over now; 4000 consecutive floats each
+    steps = np.arange(-2000, 2000)
+    below = switch - np.maximum(-steps, 0) * math.ulp(switch / 2.0)
+    above = switch + np.maximum(steps, 0) * math.ulp(switch)
+    grid = np.where(steps < 0, below, above)
+    values = phi.value(grid)
+    assert np.all(np.diff(values) >= 0.0)
+    assert np.unique(values).size > 2500
+
+
 def test_small_argument_anchor_values():
     # all three read 0.0 or twice the true value through the cancelling
     # closed forms
@@ -275,6 +305,134 @@ def test_double_conjugate_recovers_original():
     back = olk.NumericConjugate(olk.NumericConjugate(phi))
     for u in (0.25, 1.0, 2.0):
         assert back.value(u) == pytest.approx(phi.value(u), rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# closed-form conjugates
+
+TABULATED = olk.TabulatedOrlicz(((0.0, 0.0), (0.5, 0.25), (1.0, 1.0),
+                                 (2.0, 3.0), (3.0, 6.0)))
+CLOSED_BASES = [
+    pytest.param(olk.FlatZeroOrlicz(0.05), id="flat_zero_0.05"),
+    pytest.param(olk.FlatZeroOrlicz(0.4), id="flat_zero_0.4"),
+    pytest.param(olk.FlatZeroOrlicz(0.4999), id="flat_zero_0.4999"),
+    pytest.param(TABULATED, id="tabulated"),
+]
+
+
+def _probe(base):
+    """v = 0, then a spread below the last slope of a tabulated function,
+    or across the head and tail of a flat-zero one."""
+    if isinstance(base, olk.TabulatedOrlicz):
+        top = base.derivative(base.knots[-1][0])
+        return np.concatenate(([0.0], np.linspace(0.01, 0.99, 99) * top,
+                               base.derivative(np.array([0.0, 0.5, 1.0]))))
+    return np.concatenate(([0.0], np.geomspace(1e-300, 1e3, 400)))
+
+
+@pytest.mark.parametrize("cutoff", [0.05, 0.3, 0.45, 0.49, 0.4999])
+def test_flat_zero_conjugate_inverts_the_derivative(cutoff):
+    phi = olk.FlatZeroOrlicz(cutoff)
+    conj = phi.conjugate()
+    assert type(conj).__name__ == "FlatZeroConjugate"
+    v = np.geomspace(1e-300, 1e3, 4001)
+    u = conj.derivative(v)
+    assert np.all(np.abs(phi.derivative(u) / v - 1.0) <= 1e-12)
+    assert np.all(np.diff(u) > 0.0)
+    # p(0) = 0 and 0 p(0) - phi(0) = 0, also where u^2 underflows
+    assert phi.derivative(0.0) == phi.young(0.0) == 0.0
+    assert phi.derivative(np.array([0.0, 1e-200])).tolist() == [0.0, 0.0]
+    # the head ends at the cutoff, where the linear tail starts
+    assert conj.derivative(phi.derivative(cutoff)) == pytest.approx(
+        cutoff, rel=1e-6)
+
+
+def test_flat_zero_conjugate_at_float_overflow():
+    # phi* grows like v^2 / (2 phi''(u)) on the quadratic tail: +inf once
+    # v q(v) overflows; q itself raises where it leaves the floats, as the
+    # numeric solve raises beyond its cap
+    conj = olk.FlatZeroOrlicz(0.05).conjugate()
+    assert conj.value(1e150) == pytest.approx(1.6846e303, rel=1e-4)
+    assert conj.value(np.array([1.0, 1e200])).tolist()[1] == math.inf
+    with pytest.raises(ConvergenceError):
+        conj.derivative(1e308)
+
+
+@pytest.mark.parametrize("base", CLOSED_BASES)
+def test_closed_conjugate_matches_numeric_within_its_tolerance(base):
+    # the numeric solve returns the upper end of a bracket 1e-12 wide
+    # (relative) around q(v); u v - phi(u) moves by |v - p(u)| times that
+    # (to second order where p is continuous), and young = phi(q) by the
+    # elasticity u p(u) / phi(u) times it
+    closed, numeric = base.conjugate(), olk.NumericConjugate(base)
+    v = _probe(base)
+    q, q_num = closed.derivative(v), numeric.derivative(v)
+    np.testing.assert_allclose(q, q_num, rtol=1.1e-12, atol=0.0)
+    value, value_num = closed.value(v), numeric.value(v)
+    slack = np.abs(v - base.derivative(q_num)) * q_num
+    assert np.all(np.abs(value - value_num)
+                  <= 1.1e-12 * slack + 1e-15 * np.abs(value_num) + 1e-307)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        elasticity = np.where(q > 0.0, q * base.derivative(q)
+                              / base.value(q), 1.0)
+    young, young_num = closed.young(v), numeric.young(v)
+    assert np.all(np.abs(young - young_num)
+                  <= 1.1e-12 * (1.0 + elasticity) * np.abs(young_num))
+
+
+@pytest.mark.parametrize("base", CLOSED_BASES)
+def test_closed_conjugate_scalar_and_array_agree(base):
+    conj = base.conjugate()
+    v = _probe(base)[::7]
+    for name in ("value", "derivative", "young"):
+        array = getattr(conj, name)(v)
+        assert array.shape == v.shape
+        scalars = [getattr(conj, name)(float(x)) for x in v]
+        assert all(isinstance(x, float) for x in scalars)
+        assert np.array_equal(np.array(scalars), array), name
+        assert np.array_equal(getattr(conj, name)(v.reshape(-1, 1)),
+                              array.reshape(-1, 1)), name
+
+
+@pytest.mark.parametrize("base", CLOSED_BASES)
+def test_closed_conjugate_at_zero_and_back(base):
+    conj = base.conjugate()
+    assert conj.derivative(0.0) == 0.0
+    assert conj.value(0.0) == 0.0
+    assert conj.young(0.0) == 0.0
+    assert conj.conjugate() is base
+    numeric = olk.NumericConjugate(base)
+    assert conj.growth == numeric.growth
+    assert conj.young_growth == numeric.young_growth
+    assert conj.is_n_function is numeric.is_n_function
+    assert olk.delta2_classify(conj) == pytest.approx(
+        olk.delta2_classify(numeric), rel=1e-12)
+
+
+def test_tabulated_conjugate_raises_beyond_the_last_slope():
+    closed, numeric = TABULATED.conjugate(), olk.NumericConjugate(TABULATED)
+    last = float(TABULATED.derivative(3.0))
+    # phi* is finite up to the last slope and +inf beyond it; q and young
+    # need a u with p(u) > v, which exists only below it
+    for conj in (closed, numeric):
+        assert conj.value(last) == pytest.approx(last * 2.0 - 3.0, rel=1e-12)
+        for v in (last, np.array([0.5, last])):
+            with pytest.raises(ConvergenceError):
+                conj.derivative(v)
+            with pytest.raises(ConvergenceError):
+                conj.young(v)
+        for v in (last * (1.0 + 1e-9), np.array([0.5, last + 1.0])):
+            with pytest.raises(ConvergenceError):
+                conj.value(v)
+
+
+def test_tabulated_conjugate_swaps_knots_and_slopes():
+    conj = TABULATED.conjugate()
+    # slopes 0.5, 1.5, 2, 3 at knots 0, 0.5, 1, 2, 3
+    v = np.array([0.25, 0.5, 1.0, 1.5, 1.75, 2.0, 2.5])
+    assert conj.derivative(v).tolist() == [0.0, 0.5, 0.5, 1.0, 1.0, 2.0, 2.0]
+    assert conj.value(v).tolist() == [0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 2.0]
+    assert conj.young(v).tolist() == [0.0, 0.25, 0.25, 1.0, 1.0, 3.0, 3.0]
 
 
 # ---------------------------------------------------------------------------

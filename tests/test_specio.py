@@ -225,3 +225,21 @@ def test_conjugate_wrapper_round_trip():
     # the function values must survive the trip
     for u in (0.5, 2.0):
         assert back.value(u) == pytest.approx(phi.value(u), rel=1e-7)
+
+
+@pytest.mark.parametrize("base", [
+    pytest.param(olk.FlatZeroOrlicz(0.3), id="flat_zero"),
+    pytest.param(olk.TabulatedOrlicz(((0.0, 0.0), (1.0, 0.5), (2.0, 2.0))),
+                 id="tabulated"),
+])
+def test_closed_form_conjugate_round_trip(base):
+    conj = base.conjugate()
+    data = specio.serialize_orlicz(conj)
+    assert data == {"family": "conjugate_of",
+                    "base": specio.serialize_orlicz(base)}
+    back = specio.parse_orlicz(json.loads(specio.dumps(data)))
+    assert type(back) is type(conj)
+    assert back.base == base
+    v = np.array([0.0, 0.25, 1.0, 1.25])
+    assert np.array_equal(back.value(v), conj.value(v))
+    assert np.array_equal(back.derivative(v), conj.derivative(v))
