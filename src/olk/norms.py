@@ -376,8 +376,7 @@ def amemiya_pairing_report(phi, weight, f):
     """Diagnostics tying the Orlicz norm to the pairing with p(k f*).
 
     Returns the attained scaling k, the weighted pairing
-    sum f* p(k f*) w  (equal to the norm), the literal unweighted pairing
-    sum f* p(k f*) recorded for reference, and the Amemiya values.
+    sum f* p(k f*) w  (equal to the norm), and the Amemiya values.
     """
     ki = k_interval(phi, weight, f)
     k = 0.5 * (ki.lower + ki.upper)
@@ -385,12 +384,10 @@ def amemiya_pairing_report(phi, weight, f):
     values = layout.values
     slopes = phi.derivative(k * values)
     weighted = float(np.sum(values * slopes * layout.w_masses))
-    unweighted = float(np.sum(values * slopes * layout.lengths))
     modular = rho_modular(phi, weight, f.scaled(k))
     return {
         "k": k,
         "weighted_pairing": weighted,
-        "unweighted_pairing": unweighted,
         "amemiya_at_k": (1.0 + modular) / k,
         "orlicz_norm": orlicz_norm_amemiya(phi, weight, f),
         "attained_norm": ki.attained_norm,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import olk
-from olk.errors import DomainError, ValidationError
+from olk.errors import DomainError, UndecidedError, ValidationError
 
 from conftest import dyadic, rand_seq, rand_step
 
@@ -178,6 +178,65 @@ def test_band_level_measures_complement():
     for lam in (0.1, 0.25, 0.5, 2.0, 3.0):
         assert band.level_measure(lam) + comp.level_measure(
             lam) == pytest.approx(base.level_measure(lam), rel=1e-12)
+
+
+EQUIMEASURABLE_PROFILES = [
+    olk.LogTailProfile(1.0),
+    olk.PowerTailProfile(1.0, 1.0),
+    olk.BandRestriction(olk.PowerTailProfile(1.0, 1.0), 0.25, 2.0),
+    olk.BandComplement(olk.LogTailProfile(1.0), 0.25, 4.0),
+    olk.PowerSeqTail(1.0),
+    olk.ShiftedSeqTail(olk.LogSeqTail(0.5), 3),
+]
+
+
+@pytest.mark.parametrize("f", EQUIMEASURABLE_PROFILES,
+                         ids=lambda f: type(f).__name__)
+def test_profile_is_equimeasurable_with_its_rearranged_view(f):
+    assert olk.equimeasurable(f, f.rearranged()) is True
+    assert olk.equimeasurable(f.rearranged(), f) is True
+    assert olk.equimeasurable(f, f) is True
+
+
+def test_profile_and_finite_element_are_never_equimeasurable():
+    # a finite element's distribution takes finitely many values
+    step = olk.StepFunction(((2.0, 0.5), (1.0, 1.0)))
+    band = olk.BandRestriction(olk.PowerTailProfile(1.0, 1.0), 0.25, 2.0)
+    for f in (olk.LogTailProfile(1.0), band, band.rearranged()):
+        assert olk.equimeasurable(f, step) is False
+        assert olk.equimeasurable(step, f) is False
+    seq = olk.FiniteSequence((1.0, 0.5))
+    assert olk.equimeasurable(olk.PowerSeqTail(1.0), seq) is False
+    assert olk.equimeasurable(seq, olk.PowerSeqTail(1.0)) is False
+
+
+@pytest.mark.parametrize("f, g", [
+    (olk.ShiftedSeqTail(olk.PowerSeqTail(1.0), 0), olk.PowerSeqTail(1.0)),
+    (olk.PowerTailProfile(1.0, 1.0), olk.PowerTailProfile(1.0, 2.0)),
+    (olk.BandRestriction(olk.PowerTailProfile(1.0, 1.0), 0.25, 2.0),
+     olk.PowerTailProfile(1.0, 1.0)),
+])
+def test_other_profile_pairs_are_undecided(f, g):
+    # no sampled levels: a pair the exact rules do not cover raises
+    with pytest.raises(UndecidedError):
+        olk.equimeasurable(f, g)
+
+
+def test_equimeasurable_rejects_mixed_settings():
+    with pytest.raises(DomainError):
+        olk.equimeasurable(olk.LogTailProfile(1.0), olk.PowerSeqTail(1.0))
+
+
+def test_log_tail_level_measure_underflows_instead_of_overflowing():
+    f = olk.LogTailProfile(1.0)
+    # the form 1 / expm1(lam) overflows past lam = 709.78
+    assert olk.distribution(f, 1.0) == pytest.approx(1.0 / math.expm1(1.0),
+                                                     rel=1e-15)
+    assert 0.0 < olk.distribution(f, 700.0) < 1e-303
+    assert olk.distribution(f, 710.0) == pytest.approx(math.exp(-710.0),
+                                                       rel=1e-12)
+    assert olk.distribution(f, 1e6) == 0.0
+    assert olk.distribution(f, 1e-12) == pytest.approx(1e12, rel=1e-11)
 
 
 def test_profile_scaling():
