@@ -199,19 +199,16 @@ class YoungWitness:
 
 def _witness_layout(h):
     if isinstance(h, StepFunction):
-        values = [v for v, _ in h.atoms]
-        masses = [m for _, m in h.atoms]
-        if any(v <= 0.0 for v in values):
+        if np.any(h._values <= 0.0):
             raise DomainError("witness construction needs positive values")
-        return values, masses
+        return h._values, h._measures
     if isinstance(h, FiniteSequence):
-        entries = list(h.entries)
-        while entries and entries[-1] == 0.0:
-            entries.pop()
-        if any(x <= 0.0 for x in entries):
+        support = np.flatnonzero(h._array)
+        entries = h._array[:support[-1] + 1 if support.size else 0]
+        if np.any(entries <= 0.0):
             raise DomainError(
                 "witness construction needs positive values on the support")
-        return entries, [1.0] * len(entries)
+        return entries, np.ones(entries.size)
     raise DomainError("the witness is built for finite elements")
 
 
@@ -225,8 +222,8 @@ def young_witness(phi, weight, h):
     if not phi.is_n_function:
         raise DomainError("the witness requires an N-function")
     conj = phi.conjugate()
-    values, masses = _witness_layout(h)
-    if not values:
+    vals, mass = _witness_layout(h)
+    if not vals.size:
         raise DomainError("the witness is undefined for the zero element")
     sequence = isinstance(h, FiniteSequence)
     canon = h.rearranged()
@@ -240,9 +237,7 @@ def young_witness(phi, weight, h):
     for first, end, h_mass, w_mass in blocks:
         ratio_of.update(dict.fromkeys(piece_values[first:end],
                                       h_mass / w_mass))
-    ratios = np.array([ratio_of[v] for v in values])
-    vals = np.array(values)
-    mass = np.array(masses)
+    ratios = np.array([ratio_of[v] for v in vals.tolist()])
     v_layout = vals / ratios
 
     level_modular = P_modular(conj, weight, h)
@@ -250,15 +245,13 @@ def young_witness(phi, weight, h):
     q_ratios = conj.derivative(ratios)
     companion_direct = float(np.sum(phi.value(q_ratios) * v_layout * mass))
     if sequence:
-        q_elem = FiniteSequence(tuple(float(x) for x in q_ratios))
+        q_elem = FiniteSequence(q_ratios)
         companion_rearranged = rho_modular(phi, weight, q_elem)
-        v_elem = FiniteSequence(tuple(float(x) for x in v_layout))
+        v_elem = FiniteSequence(v_layout)
     else:
-        q_elem = StepFunction(tuple(zip((float(x) for x in q_ratios), masses)),
-                              h.gamma)
+        q_elem = StepFunction._from_arrays(q_ratios, mass, h.gamma)
         companion_rearranged = rho_modular(phi, weight, q_elem)
-        v_elem = StepFunction(tuple(zip((float(x) for x in v_layout), masses)),
-                              h.gamma)
+        v_elem = StepFunction._from_arrays(v_layout, mass, h.gamma)
     witness = YoungWitness(h, v_elem, dec, level_modular, young_modular,
                            companion_direct, companion_rearranged)
     scale = max(abs(level_modular), 1.0)
@@ -274,8 +267,8 @@ def young_witness(phi, weight, h):
 def rearranged_pairing(f, h):
     """Integral of f* h* against plain measure (no weight)."""
     if isinstance(f, FiniteSequence) and isinstance(h, FiniteSequence):
-        a = np.array(f.rearranged().entries)
-        b = np.array(h.rearranged().entries)
+        a = f.rearranged()._array
+        b = h.rearranged()._array
         n = min(a.size, b.size)
         return float(a[:n] @ b[:n])
     if isinstance(f, StepFunction) and isinstance(h, StepFunction):

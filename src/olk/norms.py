@@ -478,6 +478,14 @@ def _check_truncation_index(n):
     return int(n)
 
 
+def _step_band(f, n, inside):
+    """The atoms of f with |value| in [1/n, n], or those outside it."""
+    mags = np.abs(f._values)
+    keep = ((1.0 / n <= mags) & (mags <= n)) == inside
+    return StepFunction._from_arrays(f._values[keep], f._measures[keep],
+                                     f.gamma)
+
+
 def truncate(f, n):
     """Bounded order-continuous part of f at level n.
 
@@ -486,10 +494,9 @@ def truncate(f, n):
     """
     n = _check_truncation_index(n)
     if isinstance(f, StepFunction):
-        kept = tuple((v, m) for v, m in f.atoms if 1.0 / n <= abs(v) <= n)
-        return StepFunction(kept, f.gamma)
+        return _step_band(f, n, True)
     if isinstance(f, FiniteSequence):
-        return FiniteSequence(f.entries[:n])
+        return FiniteSequence(f._array[:n])
     if isinstance(f, DecreasingProfile):
         if n == 1:
             return StepFunction((), math.inf)
@@ -504,11 +511,9 @@ def truncation_remainder(f, n):
     """f minus its truncation at level n, as an element."""
     n = _check_truncation_index(n)
     if isinstance(f, StepFunction):
-        kept = tuple((v, m) for v, m in f.atoms
-                     if not (1.0 / n <= abs(v) <= n))
-        return StepFunction(kept, f.gamma)
+        return _step_band(f, n, False)
     if isinstance(f, FiniteSequence):
-        return FiniteSequence((0.0,) * n + f.entries[n:])
+        return FiniteSequence(np.concatenate((np.zeros(n), f._array[n:])))
     if isinstance(f, DecreasingProfile):
         if n == 1:
             return f

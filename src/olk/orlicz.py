@@ -196,11 +196,15 @@ class PowerOrlicz(OrliczFunction):
 
     def value(self, u):
         arr = _as_array(u)
-        return _like(self.scale * arr**self.exponent, u)
+        with np.errstate(over="ignore"):
+            out = self.scale * arr**self.exponent
+        return _like(out, u)
 
     def derivative(self, u):
         arr = _as_array(u)
-        return _like(self.scale * self.exponent * arr**(self.exponent - 1.0), u)
+        with np.errstate(over="ignore"):
+            out = self.scale * self.exponent * arr**(self.exponent - 1.0)
+        return _like(out, u)
 
     def _build_conjugate(self):
         r = self.exponent
@@ -290,7 +294,8 @@ class FlatZeroOrlicz(OrliczFunction):
         with np.errstate(divide="ignore"):
             head = np.exp(-1.0 / np.maximum(arr, 1e-300))
         d = arr - self.cutoff
-        tail = self._f_c + self._p_c * d + 0.5 * self._curv * d * d
+        with np.errstate(over="ignore"):
+            tail = self._f_c + self._p_c * d + 0.5 * self._curv * d * d
         return _like(np.where(arr <= self.cutoff, head, tail), u)
 
     def derivative(self, u):

@@ -186,6 +186,24 @@ def test_flat_zero_slope_is_finite_and_quiet_at_huge_arguments():
     assert phi.derivative(1e300) == tail[2]
 
 
+@pytest.mark.parametrize("phi, overflows", [
+    (olk.PowerOrlicz(3.0), (True, True)),
+    (olk.ExpOrlicz(), (True, True)),
+    (olk.LogOrlicz(), (False, False)),
+    (olk.FlatZeroOrlicz(0.4), (True, False)),
+], ids=["power", "exp", "log", "flat_zero"])
+def test_overflowing_values_are_quiet_infinities(phi, overflows):
+    # value and slope at u = 1e160 and 1e300: inf where the exact result
+    # exceeds the float range, finite otherwise; a RuntimeWarning fails
+    # the suite
+    u = np.array([1e160, 1e300])
+    for fn, overflow in zip((phi.value, phi.derivative), overflows):
+        out = fn(u)
+        assert np.all(np.isinf(out) if overflow else np.isfinite(out))
+        assert np.all(out > 0.0)
+        assert fn(1e300) == out[1]
+
+
 @pytest.mark.parametrize("cutoff", [0.001, 1.0 / 746.0, 1e-10])
 def test_flat_zero_rejects_an_underflowing_cutoff(cutoff):
     # exp(-1/cutoff) underflows to 0, so the function would be identically

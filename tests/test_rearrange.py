@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 import pytest
@@ -54,6 +55,135 @@ def test_step_rejects_bad_atoms():
         olk.StepFunction(((1.0, 5.0),), gamma=2.0)
 
 
+@pytest.mark.parametrize("atoms, field, message", [
+    (((1.0, 1.0), (math.inf, 1.0)), "atoms[1]", "value must be finite"),
+    (((1.0, 1.0), (1.0, -1.0)), "atoms[1]", "measure must be finite"),
+    (((math.nan, -1.0),), "atoms[0]", "value must be finite"),
+    (((1.0, 1.0), (2.0, math.nan), (math.inf, 1.0)), "atoms[1]",
+     "measure must be finite"),
+    (((1.0, 1.0), (1.0, 2.0, 3.0)), "atoms[1]", "pair of numbers"),
+    (((1.0, 1.0), 3.0), "atoms[1]", "pair of numbers"),
+    (((1.0,), (math.inf, 1.0)), "atoms[0]", "pair of numbers"),
+    (((1.0, 1.0), ("x", 1.0)), "atoms[1]", "pair of numbers"),
+    (((1.0, -1.0), (1.0,)), "atoms[0]", "measure must be finite"),
+    (((1.0, 1.0), (1.0, 1.0), (1.0, 2.0, 3.0), (1.0,)), "atoms[2]",
+     "pair of numbers"),
+], ids=["value", "measure", "value-first", "first-index", "triple",
+        "scalar", "single", "string", "bad-measure-before-non-pair",
+        "first-non-pair"])
+def test_step_names_the_first_bad_atom(atoms, field, message):
+    with pytest.raises(ValidationError) as info:
+        olk.StepFunction(atoms)
+    assert info.value.field == field
+    assert message in str(info.value)
+
+
+def test_sequence_rejects_non_finite_entries():
+    with pytest.raises(ValidationError) as info:
+        olk.FiniteSequence((1.0, 2.0, math.inf))
+    assert info.value.field == "entries"
+    with pytest.raises(ValidationError):
+        olk.FiniteSequence((1.0, 2.0)).scaled(1e308)
+    with pytest.raises(ValidationError):
+        olk.StepFunction(((2.0, 1.0),)).scaled(1e308)
+
+
+def test_finite_elements_read_like_frozen_dataclasses():
+    f = olk.StepFunction([(1, 2), (3.0, 0.0), (-0.5, 0.25)])
+    assert f.atoms == ((1.0, 2.0), (-0.5, 0.25))
+    assert repr(f) == ("StepFunction(atoms=((1.0, 2.0), (-0.5, 0.25)), "
+                       "gamma=inf)")
+    g = olk.StepFunction(((1.0, 2.0), (-0.5, 0.25)))
+    assert f == g and hash(f) == hash(g) and f != g.scaled(2.0)
+    assert f != olk.StepFunction(f.atoms, gamma=10.0)
+    s = olk.FiniteSequence([2, 0.0, -1.5])
+    assert s.entries == (2.0, 0.0, -1.5)
+    assert repr(s) == "FiniteSequence(entries=(2.0, 0.0, -1.5))"
+    assert s == olk.FiniteSequence(s.entries) and hash(s) == hash((s.entries,))
+    assert s != olk.FiniteSequence((2.0, 0.0))
+    with pytest.raises(FrozenInstanceError):
+        f.gamma = 1.0
+    with pytest.raises(FrozenInstanceError):
+        s.entries = ()
+
+
+def test_norms_and_level_functions_leave_the_tuples_unbuilt():
+    # the solvers read the arrays; the tuple view is built only on request
+    phi = olk.PowerOrlicz(2.0, 1.0)
+    seq = olk.FiniteSequence((3.0, -1.0, 2.0, 2.0, 0.0))
+    canon = seq.rearranged()
+    w = olk.HarmonicSeqWeight()
+    olk.luxemburg_norm(phi, w, seq)
+    olk.dual_luxemburg_norm(phi, w, seq)
+    olk.level_sequence(canon, w)
+    step = olk.StepFunction(((3.0, 0.5), (-1.0, 1.0), (3.0, 0.25)))
+    canon_step = step.rearranged()
+    sw = olk.StepWeight(((1.0, 2.0), (math.inf, 1.0)))
+    olk.luxemburg_norm(phi, sw, step)
+    olk.dual_luxemburg_norm(phi, sw, step)
+    olk.level_function(canon_step, sw)
+    assert "entries" not in vars(seq) and "entries" not in vars(canon)
+    assert "atoms" not in vars(step) and "atoms" not in vars(canon_step)
+    assert canon.entries == (3.0, 2.0, 2.0, 1.0)
+    assert "entries" in vars(canon)
+
+
+def _reference_step_rearranged(atoms):
+    """The tuple sort-and-merge that the arrays replaced: zero-measure
+    atoms dropped, a stable sort by -|value|, ties merged left to right."""
+    pairs = sorted(((abs(v), m) for v, m in atoms if v != 0.0 and m > 0.0),
+                   key=lambda p: -p[0])
+    merged = []
+    for value, measure in pairs:
+        if merged and merged[-1][0] == value:
+            merged[-1][1] += measure
+        else:
+            merged.append([value, measure])
+    return tuple((v, m) for v, m in merged)
+
+
+def _tied_values(rng, n, distinct):
+    """n signed values drawn from a few magnitudes in 2^-900 ... 2^900 and
+    zero, so long runs tie."""
+    palette = np.ldexp(rng.uniform(0.5, 1.0, distinct),
+                       rng.integers(-900, 901, distinct))
+    return (rng.choice(np.append(palette, 0.0), n)
+            * rng.choice([-1.0, 1.0], n))
+
+
+# Hypothesis draws the shape; a seeded generator draws full-precision
+# measures, whose sums over a tied run round differently in another order
+_SHAPES = dict(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 300),
+               distinct=st.integers(1, 5))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(spread=st.sampled_from([0, 60, 900]), **_SHAPES)
+def test_step_rearranged_matches_the_tuple_reference(seed, n, distinct,
+                                                      spread):
+    rng = np.random.default_rng(seed)
+    values = _tied_values(rng, n, distinct)
+    measures = (np.ldexp(rng.uniform(0.5, 1.0, n),
+                         rng.integers(-spread, spread + 1, n))
+                * (rng.random(n) < 0.9))
+    atoms = tuple(zip(values.tolist(), measures.tolist()))
+    r = olk.StepFunction(atoms).rearranged()
+    assert r.atoms == _reference_step_rearranged(atoms)
+    assert r.is_canonical
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(**_SHAPES)
+def test_sequence_rearranged_matches_the_tuple_reference(seed, n, distinct):
+    entries = _tied_values(np.random.default_rng(seed), n, distinct).tolist()
+    reference = sorted((abs(x) for x in entries), reverse=True)
+    while reference and reference[-1] == 0.0:
+        reference.pop()
+    r = olk.FiniteSequence(entries).rearranged()
+    assert r.entries == tuple(reference)
+    assert r.is_canonical
+
+
 def test_distribution_function_of_step():
     f = olk.StepFunction(((3.0, 0.5), (1.0, 1.5)))
     assert olk.distribution(f, 0.5) == pytest.approx(2.0)
@@ -83,6 +213,19 @@ def test_disjoint_sum_measures_add():
     assert s.total_measure == pytest.approx(1.5)
     assert olk.distribution(s, 0.5) == pytest.approx(1.5)
     assert olk.distribution(s, 1.5) == pytest.approx(1.0)
+    with pytest.raises(ValidationError):
+        olk.disjoint_sum(olk.StepFunction(f.atoms, 1.25),
+                         olk.StepFunction(((1.0, 0.5),), 1.25))
+
+
+def test_disjoint_sum_of_sequences():
+    f = olk.FiniteSequence((1.0, 0.0, -2.0))
+    g = olk.FiniteSequence((0.0, 3.0))
+    assert olk.disjoint_sum(f, g).entries == (1.0, 3.0, -2.0)
+    assert olk.disjoint_sum(g, f).entries == (1.0, 3.0, -2.0)
+    assert olk.distribution(olk.disjoint_sum(f, g), 1.5) == 2
+    with pytest.raises(DomainError):
+        olk.disjoint_sum(f, olk.FiniteSequence((0.5,)))
 
 
 # ---------------------------------------------------------------------------
@@ -366,3 +509,7 @@ def test_truncate_sequence_keeps_head():
     f = olk.FiniteSequence((5.0, 3.0, 1.0))
     assert olk.truncate(f, 2).rearranged().entries == (5.0, 3.0)
     assert olk.truncation_remainder(f, 2).rearranged().entries == (1.0,)
+    assert olk.truncation_remainder(f, 2).entries == (0.0, 0.0, 1.0)
+    # beyond the support the remainder is n zeros
+    assert olk.truncation_remainder(f, 5).entries == (0.0,) * 5
+    assert olk.truncate(f, 5).entries == f.entries
