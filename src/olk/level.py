@@ -51,10 +51,6 @@ class LevelDecomposition:
     source: object
     weight: object
 
-    @property
-    def ratios(self):
-        return tuple(block.ratio for block in self.intervals)
-
     def value(self, t):
         return evaluate_level(self, t)
 

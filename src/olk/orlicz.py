@@ -22,8 +22,9 @@ LogOrlicz pair among themselves, FlatZeroOrlicz gives FlatZeroConjugate (the
 lower Lambert W branch below the cutoff's slope, linear above it) and
 TabulatedOrlicz gives TabulatedConjugate (piecewise linear, knots and slopes
 swapped).  NumericConjugate solves for the conjugate of any Orlicz function
-from its derivative; it is the default for functions outside the catalog and
-the independent route the closed forms are checked against.
+from its derivative, one scalar root per entry; it is the default for
+functions outside the catalog and the independent route the closed forms are
+checked against.
 
 Values and derivatives accept scalars or numpy arrays of nonnegative numbers.
 Instances are treated as immutable; the conjugate is computed once and cached.
@@ -71,7 +72,9 @@ def _like(arr, template):
 # - ...), which is u w - (exp(w) - 1 - w) and so, like Young's equality it
 # comes from, insensitive to the rounding of w to first order.  Each series
 # is cut where the next term at u = 1 (w = log 2) is below 2^-60 of the
-# first.
+# first.  From u = 1 up, (1 + u) log(1 + u) - u is evaluated in that Young
+# form u w - (exp(w) - 1 - w) too, within 3 ulp and monotone; the closed
+# form carries the rounding of w with weight 1 + u.
 _SERIES_BELOW = 1.0
 _EXP_SERIES = tuple(1.0 / math.factorial(k) for k in range(2, 20))
 _LOG_TAIL = _EXP_SERIES[1:16]
@@ -108,7 +111,8 @@ def _log_minus_linear(arr):
     small = arr < _SERIES_BELOW
     if small.all():
         return _log_by_series(arr, w)
-    out = (1.0 + arr) * w - arr
+    with np.errstate(over="ignore"):
+        out = arr * w - _exp_minus_linear(w)
     if small.any():
         out[small] = _log_by_series(arr[small], w[small])
     return out
@@ -144,8 +148,6 @@ class OrliczFunction:
     """Common surface: value, right derivative, conjugate, growth types."""
 
     is_n_function = True
-    tol_abs = 1e-10
-    tol_rel = 1e-8
     growth = (None, None)   # unknown at both ends
 
     @property
@@ -389,40 +391,42 @@ class Conjugate(OrliczFunction):
         return self.base
 
 
+# the relative tolerance in u of NumericConjugate's solves
+_CONJUGATE_REL_TOL = 1e-12
+
+
 class NumericConjugate(Conjugate):
     """Conjugate computed from the base function's right derivative.
 
     value(v) finds the smallest u with p(u) >= v and returns u*v - phi(u);
     derivative(v) finds the smallest u with p(u) > v.  Both solve
-    log p(u) = log v with the package's root-finder, all entries of an
-    array in lockstep, one vectorised call of the base derivative per step,
-    to within 1e-12 relative in u.  The default conjugate of a family
-    without a closed-form partner, and the independent route against which
-    the closed forms are checked.
+    log p(u) = log v with the package's root-finder, one scalar solve per
+    array entry, to within _CONJUGATE_REL_TOL relative in u.  The default
+    conjugate of a family without a closed-form partner, and the
+    independent route against which the closed forms are checked.
     """
 
     def _boundaries(self, targets, strict):
         """Smallest u with p(u) > target (strict) or p(u) >= target, per
-        entry."""
-        with np.errstate(divide="ignore"):
-            log_targets = np.log(targets)
-
-        def excess(u, idx):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.log(self.base.derivative(u)) - log_targets[idx]
-
-        _, hi = solvers.increasing_roots(excess, targets.size,
-                                         rel_tol=self.base.tol_rel * 1e-4,
-                                         strict=strict)
-        return hi
+        entry of a flat array; 0 for a zero target."""
+        out = np.zeros_like(targets)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for k, target in enumerate(targets.tolist()):
+                # q(0) = sup{u : p(u) <= 0} = 0, which the solve would miss
+                # where p(u) underflows to 0 above it
+                if target == 0.0:
+                    continue
+                log_target = np.log(target)
+                _, out[k] = solvers.increasing_root(
+                    lambda u: np.log(self.base.derivative(u)) - log_target,
+                    rel_tol=_CONJUGATE_REL_TOL, strict=strict)
+        return out
 
     def value(self, v):
         arr = _as_array(v)
         flat = np.atleast_1d(arr).ravel()
-        u = np.zeros_like(flat)
-        positive = flat != 0.0
         try:
-            u[positive] = self._boundaries(flat[positive], strict=False)
+            u = self._boundaries(flat, strict=False)
         except ConvergenceError as exc:
             raise ConvergenceError(
                 "conjugate undefined: the derivative never reaches "
@@ -433,12 +437,7 @@ class NumericConjugate(Conjugate):
 
     def derivative(self, v):
         arr = _as_array(v)
-        flat = np.atleast_1d(arr).ravel()
-        # q(0) = sup{u : p(u) <= 0} = 0, which the solve would miss where
-        # p(u) underflows to 0 above it
-        out = np.zeros_like(flat)
-        positive = flat != 0.0
-        out[positive] = self._boundaries(flat[positive], strict=True)
+        out = self._boundaries(np.atleast_1d(arr).ravel(), strict=True)
         return _like(out.reshape(np.shape(arr)), v)
 
 

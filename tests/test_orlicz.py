@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import olk
-from olk import solvers
+from olk import orlicz, solvers
 from olk.errors import ConvergenceError, DomainError, ValidationError
 
 from conftest import dyadic, rand_phi
@@ -103,12 +103,28 @@ def test_values_within_2_ulp_up_to_one(phi):
         assert ulps <= 2, (u, value)
 
 
+def test_log_values_within_3_ulp_above_one():
+    # the rounding of w = log(1 + u) must not be carried with weight 1 + u
+    phi = olk.LogOrlicz()
+    rng = np.random.default_rng(5)
+    us = np.concatenate([np.geomspace(1.0, 1e300, 601),
+                         np.sort(rng.uniform(1.0, 4.0, 1000)),
+                         np.exp(rng.uniform(0.0, 690.0, 400))])
+    got = phi.value(us)
+    for u, value in zip(us.tolist(), got.tolist()):
+        want = _decimal_reference("log", u)
+        ulps = abs(Decimal(value) - want) / Decimal(math.ulp(float(want)))
+        assert ulps <= 3, (u, value)
+
+
 @pytest.mark.parametrize("phi", [olk.ExpOrlicz(), olk.LogOrlicz()],
                          ids=["exp", "log"])
-@pytest.mark.parametrize("switch", [2.0**-5, 1.0])
+@pytest.mark.parametrize("switch", [2.0**-5, 1.0, math.e - 1.0])
 def test_values_are_monotone_across_the_series_switches(phi, switch):
     # 2^-5, where the short series used to hand over to the closed forms,
-    # and 1, where the series hand over now; 4000 consecutive floats each
+    # 1, where the series hand over now, and e - 1, where log(1 + u) = 1
+    # moves the Young form of LogOrlicz onto the exp closed form; 4000
+    # consecutive floats each
     steps = np.arange(-2000, 2000)
     below = switch - np.maximum(-steps, 0) * math.ulp(switch / 2.0)
     above = switch + np.maximum(steps, 0) * math.ulp(switch)
@@ -324,34 +340,20 @@ def test_numeric_conjugate_derivative_at_zero_is_zero(base):
     assert numeric.derivative(np.array([0.0, 1e-3]))[0] == 0.0
 
 
-def test_increasing_roots_walk_below_the_floor():
-    roots = np.array([2.0**-100, 2.0**-700, 0.0, 0.75])
-    lo, hi = solvers.increasing_roots(lambda c, idx: c - roots[idx], 4)
-    assert hi[:2] == pytest.approx(roots[:2], rel=1e-10, abs=0.0)
-    assert np.all(lo[:2] < roots[:2])
-    # satisfied at every probe: the infimum 0, not a positive floor
-    assert lo[2] == hi[2] == 0.0
-    assert hi[3] == pytest.approx(0.75, rel=1e-10)
-    # an Amemiya objective that rises for every k has infimum +inf at 0
-    assert solvers.amemiya_norm(lambda k: 0.0, lambda k: 2.0) == math.inf
-
-
 def test_numeric_conjugate_arrays_match_per_entry_solves():
     base = olk.FlatZeroOrlicz(0.4)
     conj = olk.NumericConjugate(base)
     v = np.array([0.0, 1e-300, 1e-5, 0.3, 1.0, 7.5, 1e3])
-    rel_tol = base.tol_rel * 1e-4
 
     def boundary(target, strict):
-        def excess(u, _):
+        def excess(u):
             with np.errstate(divide="ignore", invalid="ignore"):
-                return (np.log(base.derivative(u))
-                        - np.log(np.array([target])))
-        _, hi = solvers.increasing_roots(excess, 1, rel_tol=rel_tol,
-                                         strict=strict)
-        return hi[0]
+                return np.log(base.derivative(u)) - np.log(target)
+        _, hi = solvers.increasing_root(
+            excess, rel_tol=orlicz._CONJUGATE_REL_TOL, strict=strict)
+        return hi
 
-    # reference: the size-1 solve per entry, to be matched bit for bit
+    # reference: the scalar solve per entry, to be matched bit for bit
     argmax = [0.0 if x == 0.0 else boundary(x, False) for x in v]
     values = [u * x - base.value(u) for u, x in zip(argmax, v)]
     slopes = [0.0 if x == 0.0 else boundary(x, True) for x in v]
