@@ -13,11 +13,12 @@ SLSQP solve so the two routes can be compared; it is the one place here
 that imports SciPy.
 
 Every finite element is read through the layout of
-`rearrange.finite_layout`: h* split at the weight's breakpoints.  The dual
-modulars, the dual norms and the Young witness run the level module's one
-pool-adjacent-violators merge on its pieces; the oracle shares only the
-piece list with them, never the merge.  The rearranged pairing cuts the
-shorter of two step supports at the other's edges with the same splitter.
+`rearrange.finite_layout`: h* split at the weight's breakpoints, or a
+sequence's runs of equal entries.  The dual modulars, the dual norms and
+the Young witness run the level module's one pool-adjacent-violators merge
+on its pieces; the oracle shares only the piece list with them, never the
+merge.  The rearranged pairing cuts the shorter of two step supports at the
+other's edges with the same splitter.
 
 Scaling h by c keeps the level intervals and multiplies every ratio by c,
 so the dual norms decompose h once per call and solve a scalar problem on
@@ -98,6 +99,12 @@ def P_modular_oracle(phi, weight, h):
     solver's point is scaled back into the constraint set, so the value
     returned is attained by a feasible v.  Independent of the level-function
     route: it shares the pieces of the layout, not the merge.
+
+    A sequence piece is a run of equal entries, with one unknown.  That
+    leaves the minimum unchanged: replacing v on a run by its mean does not
+    raise the objective (v -> phi(c / v) v is convex), keeps the running
+    sum at the run's ends and, as W is concave along the run, keeps it
+    below W inside.
     """
     from scipy import optimize
     if not phi.is_n_function:

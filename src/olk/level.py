@@ -12,10 +12,13 @@ and each interval preserves the h-mass.
 
 The decomposition runs on the layout of `rearrange.finite_layout`, whose
 pieces carry a single (value, weight level) pair each: atoms split at the
-weight's breakpoints, or one piece per sequence entry.  A pool-adjacent-
-violators sweep pushes the pieces left to right and merges a new piece into
-its predecessor while the predecessor's ratio does not exceed the
-newcomer's (ties merge).  Ratio comparisons cross-multiply the masses, so
+weight's breakpoints, or one piece per run of equal sequence entries.  A
+run needs no inner edge: w does not increase along it, so the ratio of each
+entry in it is at least that of the entry before, and the per-entry sweep
+would merge the whole run into one block.  A pool-adjacent-violators
+sweep pushes the pieces left to right and merges a new piece into its
+predecessor while the predecessor's ratio does not exceed the newcomer's
+(ties merge).  Ratio comparisons cross-multiply the masses, so
 data with exactly representable products compares exactly.  The dual norms
 and the Young witness read the same blocks through `_level_blocks`.
 

@@ -13,16 +13,19 @@ with Y(k) the Young side, the modular of k f under t p(t) - phi(t) =
 phi*(p(t)).  Y does not decrease, so the infimum is attained on the compact
 interval K(f) = [k_lower, k_upper] where Y crosses 1 (Hudzik & Maligranda,
 Indag. Math. 2000); `orlicz_norm_amemiya` finds one such k as a root of Y,
-and `k_interval` locates both ends independently, as roots of the
-conjugate-side modular of p(k f*).
+and `k_interval` locates both ends, as roots of the conjugate-side modular
+of p(k f*), by two solves that share their probes.  For a TabulatedOrlicz
+on a finite element Y is a step function of k, and its crossing of 1 is
+found exactly, among the k where one value meets one knot.
 
 Finite elements evaluate exactly as weighted sums.  Each norm lays a finite
 element out once, by `rearrange.finite_layout`: the decreasing values of
-f* split at the weight's breakpoints, with the weight mass of each piece.
-It divides the values by the largest one and solves a scalar problem on
-those arrays: the modular of c f is sum phi(c v_i) m_i, so no element is
-rebuilt inside a solver loop, and norms come back multiplied by the
-divisor, which keeps every solve inside its bracket at any magnitude.
+f* split at the weight's breakpoints, or a sequence's runs of equal
+entries, with the weight mass of each piece.  It divides the values by the
+largest one and solves a scalar problem on those arrays: the modular of
+c f is sum phi(c v_i) m_i, so no element is rebuilt inside a solver loop,
+and norms come back multiplied by the divisor, which keeps every solve
+inside its bracket at any magnitude.
 
 Parametric profiles are integrated by adaptive quadrature after a log
 substitution, once `_threshold` has found the integral convergent from the
@@ -273,15 +276,15 @@ def _profile_scale(f):
     return float(f.rearranged_value(min(1.0, 0.5 * f.support_measure)))
 
 
-def _scalings(weight, f):
+def _scalings(weight, f, layout):
     """(modular_at, scale) with modular_at(psi, growth, c) the modular of
-    c f / scale under psi, and scale 0 for the zero element.
+    c f / scale under psi, and scale 0 for the zero element; layout is
+    _finite_layout(weight, f).
 
     A finite element is laid out once; a profile is rebuilt by
     f.scaled(c / scale) at each step, with scale a representative value
     of f, so its solves too start near the answer at any magnitude.
     """
-    layout = _finite_layout(weight, f)
     if layout is None:
         scale = _profile_scale(f)
         return ((lambda psi, growth, c:
@@ -292,7 +295,7 @@ def _scalings(weight, f):
 
 def luxemburg_norm(phi, weight, f, *, rel_tol=1e-10):
     """Gauge norm inf{eps : modular(f / eps) <= 1}."""
-    modular_at, scale = _scalings(weight, f)
+    modular_at, scale = _scalings(weight, f, _finite_layout(weight, f))
     if scale == 0.0:
         return 0.0
     try:
@@ -312,9 +315,14 @@ def orlicz_norm_amemiya(phi, weight, f, *, rel_tol=1e-10):
     t p(t) - phi(t), crosses 1.  For a TabulatedOrlicz with final slope b
     that side stays bounded; when it stays below 1 the objective decreases
     in k for ever and the norm is its limit b * integral (or sum) of f* w,
-    computed exactly, not probed at a large k.
+    computed exactly, not probed at a large k.  On a finite element that
+    side is a step function of k, and `_tabulated_amemiya` finds the k
+    where it crosses 1 exactly.
     """
-    modular_at, scale = _scalings(weight, f)
+    layout = _finite_layout(weight, f)
+    if layout is not None and isinstance(phi, TabulatedOrlicz):
+        return _tabulated_amemiya(phi, layout.values, layout.w_masses)
+    modular_at, scale = _scalings(weight, f, layout)
     if scale == 0.0:
         return 0.0
     try:
@@ -336,6 +344,39 @@ def orlicz_norm_amemiya(phi, weight, f, *, rel_tol=1e-10):
     return scale * value
 
 
+def _tabulated_amemiya(phi, values, masses):
+    """The Amemiya norm of the layout (values, masses) under a
+    TabulatedOrlicz, with one modular evaluation.
+
+    On [t_j, t_{j+1}) the Young side t p(t) - phi(t) is the constant
+    b_j = s_j t_j - y_j, with s_j the slope there (the last slope beyond
+    the last knot), so Y(k) = sum b_{j(k u_i)} m_i, with u the values
+    divided by the largest one, is a right-continuous step function that
+    jumps by (b_j - b_{j-1}) m_i at k = t_j / u_i.  The objective falls
+    while Y < 1 and does not fall after, so its minimum sits at the first
+    crossing where the running sum of the sorted jumps reaches 1.  When
+    no finite crossing reaches 1 the objective falls for ever, to its
+    limit b sum v m, with b the final slope.
+    """
+    if values.size == 0:
+        return 0.0
+    scale = float(values[0])
+    unit = values / scale
+    ts, ys, slopes = phi._ts, phi._ys, phi._slopes
+    young = slopes[np.minimum(np.arange(ts.size), slopes.size - 1)] * ts - ys
+    with np.errstate(over="ignore"):
+        crossings = (ts[1:, None] / unit).ravel()
+    jumps = (np.diff(young)[:, None] * masses).ravel()
+    # for each knot the crossings rise along the decreasing values, so the
+    # stable sort merges ts.size - 1 sorted runs
+    order = np.argsort(crossings, kind="stable")
+    reached = np.flatnonzero(np.cumsum(jumps[order]) >= 1.0)
+    k = float(crossings[order[reached[0]]]) if reached.size else math.inf
+    if math.isinf(k):
+        return scale * float(slopes[-1]) * float(np.sum(unit * masses))
+    return scale * (1.0 + _finite_modular(phi.value, k * unit, masses)) / k
+
+
 @dataclass(frozen=True)
 class KInterval:
     """Scaling constants where the Amemiya objective attains the norm."""
@@ -348,7 +389,11 @@ class KInterval:
 def k_interval(phi, weight, f):
     """K(f) = [k_lower, k_upper] for an N-function: where the conjugate
     modular of p(k f*) turns >= 1 and > 1, each located by the root-finder
-    on the layout divided by its largest value."""
+    on the layout divided by its largest value.
+
+    The two solves walk the same probes until one meets a k where that
+    modular is exactly 1, so its values are kept by k and the strict solve
+    evaluates it only where its path leaves the first one's."""
     if not phi.is_n_function:
         raise DomainError("K(f) requires an N-function")
     layout = _finite_layout(weight, f)
@@ -358,10 +403,13 @@ def k_interval(phi, weight, f):
     if scale == 0.0:
         raise DomainError("K(f) is undefined for the zero element")
     conj = phi.conjugate()
+    seen = {}
 
     def log_conj_side(k):
-        total = modular_at(lambda t: conj.value(phi.derivative(t)), k)
-        return math.log(total) if total > 0.0 else -math.inf
+        if k not in seen:
+            total = modular_at(lambda t: conj.value(phi.derivative(t)), k)
+            seen[k] = math.log(total) if total > 0.0 else -math.inf
+        return seen[k]
 
     _, lower = solvers.increasing_root(log_conj_side, rel_tol=1e-13)
     _, upper = solvers.increasing_root(log_conj_side, rel_tol=1e-13,
@@ -431,6 +479,11 @@ def orlicz_norm_dual_sup_oracle(phi, weight, f):
     repaired to a nonincreasing one and rescaled onto the ball, so the value
     returned is attained by a feasible g.  Kept independent of the
     scaling-constant theory so the two routes check each other.
+
+    It has one unknown per run of equal entries of f*, a piece of the
+    layout.  That leaves the maximum unchanged: replacing g on a run by its
+    w-weighted mean keeps the objective, does not raise the conjugate
+    modular (Jensen) and keeps g nonincreasing.
     """
     from scipy import optimize
     if not isinstance(f, FiniteSequence):

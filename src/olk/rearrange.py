@@ -863,8 +863,9 @@ class FiniteLayout:
 
     Piece k holds the value values[k] on [edges[k], edges[k + 1]), with
     length lengths[k] and weight mass w_masses[k]; cumulative[k] is the
-    running weight W(edges[k]).  A sequence has one piece per entry, of
-    length 1 between integer edges.
+    running weight W(edges[k]).  A sequence has one piece per run of equal
+    entries, between integer edges: its length is the run length and its
+    weight mass the run's weights added left to right.
     """
 
     values: np.ndarray
@@ -911,10 +912,18 @@ def finite_layout(h, w):
         if not isinstance(w, SequenceWeight):
             raise DomainError("sequence elements need a sequence weight")
         values = h._array
-        w_masses = w.head(values.size)
-        return FiniteLayout(values, np.ones(values.size), w_masses,
-                            np.arange(values.size + 1),
-                            np.concatenate(([0.0], np.cumsum(w_masses))))
+        n = values.size
+        w_masses = w.head(n)
+        cumulative = np.concatenate(([0.0], np.cumsum(w_masses)))
+        starts = np.flatnonzero(np.concatenate(
+            ([True], values[1:] != values[:-1])))[:n]
+        if starts.size == n:
+            return FiniteLayout(values, np.ones(n), w_masses,
+                                np.arange(n + 1), cumulative)
+        values, w_masses = _merge_ties(values, w_masses, starts)
+        edges = np.append(starts, n)
+        return FiniteLayout(values, np.diff(edges).astype(float), w_masses,
+                            edges, cumulative[edges])
     raise DomainError("expected a finite element (StepFunction or "
                       f"FiniteSequence), got {type(h).__name__}")
 

@@ -11,8 +11,9 @@ performance preserving minmax optimality", ACM TOMS 47(1), 2020): a
 regula falsi step, truncated toward the midpoint and projected into a
 shrinking radius around it, so it never takes more than two steps beyond
 what bisection would, and on smooth functions converges superlinearly.
-On a step function (the Young side of a piecewise-linear phi) it runs at
-bisection's rate.
+On a step function it runs at bisection's rate; the one left to it is the
+Young side of a `TabulatedOrlicz` on a parametric profile, since on a
+finite element `norms` finds that root exactly.
 
 The two norm engines instantiate it: `gauge_norm` on the log of the
 modular and `amemiya_norm` on the Young side of the Amemiya form.

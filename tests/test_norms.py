@@ -13,8 +13,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import olk
+from olk import solvers
 from olk.errors import DomainError, NotInSpaceError, UndecidedError
-from olk.rearrange import DecreasingProfile
+from olk.norms import _unit_scalings
+from olk.rearrange import DecreasingProfile, finite_layout
 
 from conftest import (dyadic, rand_phi, rand_seq, rand_seq_weight, rand_step,
                       rand_step_weight)
@@ -90,6 +92,57 @@ def test_k_interval_anchor(quad_phi, lebesgue_weight):
     assert ki.lower == pytest.approx(math.sqrt(2.0), rel=1e-8)
     assert ki.upper == pytest.approx(math.sqrt(2.0), rel=1e-8)
     assert ki.attained_norm == pytest.approx(math.sqrt(2.0), rel=1e-9)
+
+
+class _CountingConjugate:
+    """The conjugate of phi, recording the argument of each value call."""
+
+    def __init__(self, phi):
+        self.real, self.calls = phi.conjugate(), []
+
+    def value(self, v):
+        self.calls.append(v)
+        return self.real.value(v)
+
+
+class _CountedPower(olk.PowerOrlicz):
+    """A PowerOrlicz whose conjugate counts its evaluations."""
+
+    def conjugate(self):
+        return self.counted
+
+
+@pytest.mark.parametrize("exponent, scale, meets_one", [(3.0, 1.0, False),
+                                                        (2.5, 0.75, True)])
+def test_k_interval_strict_solve_reuses_the_first_solves_probes(
+        exponent, scale, meets_one):
+    plain = olk.PowerOrlicz(exponent, scale)
+    w = olk.HarmonicSeqWeight()
+    f = olk.FiniteSequence((3.0, -1.25, 1.25, 0.5, 0.0, 0.1875))
+    # the two solves, unmemoised, on the conjugate-side modular
+    layout = finite_layout(f.rearranged(), w)
+    modular_at, unit_scale = _unit_scalings(layout.values, layout.w_masses)
+    solves = []
+    for strict in (False, True):
+        conj = _CountingConjugate(plain)
+
+        def log_conj_side(k):
+            total = modular_at(lambda t: conj.value(plain.derivative(t)), k)
+            return math.log(total) if total > 0.0 else -math.inf
+        bracket = solvers.increasing_root(log_conj_side, rel_tol=1e-13,
+                                          strict=strict)
+        solves.append((bracket, [v.tolist() for v in conj.calls]))
+    (first, probes), (second, strict_probes) = solves
+    # where a probe meets a modular of exactly 1 the two paths part
+    assert (probes != strict_probes) == meets_one
+
+    phi = _CountedPower(exponent, scale)
+    phi.counted = _CountingConjugate(plain)
+    ki = olk.k_interval(phi, w, f)
+    distinct = {tuple(v) for v in probes + strict_probes}
+    assert len(phi.counted.calls) == len(distinct)
+    assert ki.lower == first[1] / unit_scale
+    assert ki.upper == second[1] / unit_scale
 
 
 def test_sequence_norm_anchor(quad_phi):
@@ -289,7 +342,17 @@ def test_amemiya_norm_of_tabulated_takes_the_linear_tail_limit():
     # slopes 1, 2: the Young side reaches 1 and the infimum is attained
     attained = olk.TabulatedOrlicz(((0.0, 0.0), (1.0, 1.0), (2.0, 3.0)))
     assert olk.orlicz_norm_amemiya(attained, w, f) == pytest.approx(
-        2.25, rel=1e-9)
+        2.25, rel=1e-14)
+    # on a profile the root-finder looks for the root: the band keeps 1/t
+    # on [1/2, 4), so under w = 1 the Young side stays at most 0.25 * 3.5
+    # and the norm is the limit 0.75 log 8; under w = 2 it reaches 1
+    band = olk.BandRestriction(olk.PowerTailProfile(1.0, 1.0), 0.25, 2.0)
+    assert olk.orlicz_norm_amemiya(
+        linear, olk.StepWeight(((math.inf, 1.0),)), band) == pytest.approx(
+            0.75 * math.log(8.0), rel=1e-8)
+    assert olk.orlicz_norm_amemiya(
+        linear, olk.StepWeight(((math.inf, 2.0),)), band) < \
+        2.0 * 0.75 * math.log(8.0)
 
 
 def test_norm_sandwich_and_unit_ball():
