@@ -8,20 +8,18 @@ violated property.
 The `dualnorm` subcommand reports norms in the Koethe dual of the described
 space, so the dual modular runs on the conjugate of the space's Orlicz
 function.
+
+Each command imports the modules it runs when it runs, so a process that
+computes a norm does not load the dual, level or verify modules.
 """
 
 import argparse
 import json
-import math
 import sys
 
-from . import level as level_mod
 from . import specio
-from .duality import (dual_luxemburg_norm, dual_orlicz_norm, holder_check,
-                      non_m_ideal_witness)
 from .errors import OlkError, ValidationError
 from .norms import k_interval, luxemburg_norm, orlicz_norm_amemiya, theta
-from .verify import verify_suite
 
 __all__ = ["main", "run_command"]
 
@@ -62,6 +60,7 @@ def _cmd_norm(args):
 
 
 def _cmd_dualnorm(args):
+    from .duality import dual_luxemburg_norm, dual_orlicz_norm
     space = _load_space(args.space)
     elem = _load_element(args.element, space.setting)
     conj = space.phi.conjugate()
@@ -75,14 +74,15 @@ def _cmd_dualnorm(args):
 
 
 def _cmd_level(args):
+    from .level import level_function, level_sequence
     space = _load_space(args.space)
     elem = _load_element(args.element, space.setting).rearranged()
     if space.setting == "function":
-        dec = level_mod.level_function(elem, space.weight)
+        dec = level_function(elem, space.weight)
         breaks = [b for b in space.weight.breakpoints()
                   if b < dec.support_end]
     else:
-        dec = level_mod.level_sequence(elem, space.weight)
+        dec = level_sequence(elem, space.weight)
         breaks = []
     payload = {
         "setting": dec.setting,
@@ -111,6 +111,7 @@ def _cmd_theta(args):
 
 
 def _cmd_witness(args):
+    from .duality import non_m_ideal_witness
     space = _load_space(args.space)
     report = non_m_ideal_witness(space.phi, space.weight, args.s, args.u)
     payload = {
@@ -125,6 +126,7 @@ def _cmd_witness(args):
 
 
 def _cmd_holder(args):
+    from .duality import holder_check
     space = _load_space(args.space)
     f = _load_element(args.element, space.setting)
     h = _load_element(args.against, space.setting)
@@ -133,6 +135,7 @@ def _cmd_holder(args):
 
 
 def _cmd_verify(args):
+    from .verify import verify_suite
     cases = None
     if args.suite and args.suite != "all":
         cases = [c.strip() for c in args.suite.split(",") if c.strip()]

@@ -26,17 +26,19 @@ the (R_j, W_j) arrays, P(c h) = sum_j phi(c R_j) W_j, with the ratios
 divided by the largest one so the solve starts inside its bracket at any
 magnitude.
 
-Norms of bounded functionals built from a dual element h and a singular
-part of norm s obey an asymmetric pair of formulas: against the Orlicz
-(Amemiya) norm the functional norm is the plain sum of the parts, while
-against the Luxemburg norm it is the gauge
+A bounded functional on Lambda_{phi,w} built from a dual element h and a
+singular part of norm s has a norm that depends on the norm of the space:
+with the Luxemburg norm on Lambda_{phi,w} the parts add up (h then carries
+the dual Orlicz norm), while with the Orlicz (Amemiya) norm on
+Lambda_{phi,w} the functional norm is the gauge
 
     inf { lam > 0 : P(h / lam) + s / lam <= 1 }
 
-which can fall strictly below the sum of the parts.  `non_m_ideal_witness`
-constructs elements h = u w on an initial segment that exhibit a strictly
-positive gap, certifying that the order-continuous part is not an M-ideal
-once the space contains singular functionals.
+(at s = 0 the dual Luxemburg norm of h), which can fall strictly below the
+sum of the parts.  `non_m_ideal_witness` constructs elements h = u w on an
+initial segment that exhibit a strictly positive gap, certifying that the
+order-continuous part is not an M-ideal once the space contains singular
+functionals.
 """
 
 import math
@@ -49,8 +51,8 @@ from . import level as level_mod
 from . import solvers
 from .errors import (ConvergenceError, DomainError, InfeasibleParameterError,
                      NotInSpaceError)
-from .norms import (_finite_modular, _unit_scalings, luxemburg_norm,
-                    orlicz_norm_amemiya, rho_modular)
+from .norms import (_check_oracle_size, _finite_modular, _unit_scalings,
+                    luxemburg_norm, orlicz_norm_amemiya, rho_modular)
 from .rearrange import (FiniteSequence, SequenceWeight, StepFunction,
                         StepWeight, _split, _step_cuts, finite_layout)
 
@@ -105,17 +107,21 @@ def P_modular_oracle(phi, weight, h):
     raise the objective (v -> phi(c / v) v is convex), keeps the running
     sum at the run's ends and, as W is concave along the run, keeps it
     below W inside.
+
+    Raises DomainError above norms.ORACLE_MAX_PIECES pieces, before SciPy
+    loads.
     """
-    from scipy import optimize
     if not phi.is_n_function:
         raise DomainError("the dual modular requires an N-function")
     layout = finite_layout(h.rearranged(), weight)
+    _check_oracle_size(layout)
     h_mass = layout.h_masses
     keep = h_mass > 0.0
     h_mass, caps = h_mass[keep], layout.cumulative[1:][keep]
     n = h_mass.size
     if n == 0:
         return 0.0
+    from scipy import optimize
     # the unknowns are u = v / (weight mass of each piece): all of order one,
     # which keeps SLSQP's steps and constraint residuals well scaled
     w_masses = np.diff(np.concatenate(([0.0], caps)))
@@ -319,15 +325,16 @@ def holder_check(phi, weight, f, h, *, rel_tol=1e-9):
 # norms of functionals with a singular part
 
 def functional_norm_luxemburg_side(phi, weight, h, s):
-    """Norm of the functional (h, s) against the Amemiya norm: the parts
-    add up."""
+    """Norm of the functional (h, s) on Lambda_{phi,w} with the Luxemburg
+    norm: the parts add up (the dual Orlicz norm of h, plus s)."""
     _check_singular_part(s)
     return dual_orlicz_norm(phi.conjugate(), weight, h) + s
 
 
 def functional_norm_orlicz_side(phi, weight, h, s, *, rel_tol=1e-12):
-    """Norm of the functional (h, s) against the Luxemburg norm:
-    inf{lam : P(h / lam) + s / lam <= 1}."""
+    """Norm of the functional (h, s) on Lambda_{phi,w} with the Orlicz
+    (Amemiya) norm: the gauge inf{lam : P(h / lam) + s / lam <= 1} (the dual
+    Luxemburg norm of h when s = 0)."""
     _check_singular_part(s)
     conj = phi.conjugate()
     ratios, masses = _level_masses(conj, weight, h)

@@ -26,8 +26,7 @@ __all__ = [
     "StepWeight", "PowerWeight",
     "ConstantSeqWeight", "HarmonicSeqWeight", "PowerSeqWeight",
     "ExplicitSeqWeight",
-    "distribution", "decreasing_rearrangement", "equimeasurable",
-    "cumulative_weight", "disjoint_sum", "element_setting",
+    "distribution", "equimeasurable", "disjoint_sum", "element_setting",
     "FiniteLayout", "finite_layout",
 ]
 
@@ -110,8 +109,9 @@ def _merge_ties(values, measures, starts):
     sums = measures[starts]
     tied = np.flatnonzero(lengths > 1)
     # np.add.reduceat does not add left to right; accumulate does, so the
-    # runs of each length are added as the rows of one matrix
-    for length in np.unique(lengths[tied]):
+    # runs of each length are added as the rows of one matrix (the lengths
+    # are deduplicated in Python: np.unique would import numpy.ma)
+    for length in sorted(set(lengths[tied].tolist())):
         runs = tied[lengths[tied] == length]
         rows = measures[starts[runs, None] + np.arange(length)]
         sums[runs] = np.add.accumulate(rows, axis=1)[:, -1]
@@ -804,11 +804,6 @@ def distribution(f, lam):
     raise DomainError(f"unknown element type: {type(f).__name__}")
 
 
-def decreasing_rearrangement(f):
-    """Canonical decreasing representative, equimeasurable with |f|."""
-    return f.rearranged()
-
-
 def equimeasurable(f, g, *, tol=1e-9):
     """Whether f and g share a distribution; same setting required.
 
@@ -845,15 +840,6 @@ def _all_close(a, b, tol):
                                     tol)))
 
 
-def cumulative_weight(w, t):
-    """W(t) for function weights; prefix sum for sequence weights."""
-    if isinstance(w, Weight):
-        return w.cumulative(t)
-    if isinstance(w, SequenceWeight):
-        return w.prefix(t)
-    raise DomainError(f"unknown weight type: {type(w).__name__}")
-
-
 # ---------------------------------------------------------------------------
 # the layout of a finite element
 
@@ -886,8 +872,12 @@ def _step_cuts(h):
 
 def _split(cuts, points):
     """Edges of [0, cuts[-1]) cut at cuts and at the points inside, with
-    the index k of the atom [cuts[k], cuts[k + 1]) that holds each piece."""
-    edges = np.union1d(cuts, points[points < cuts[-1]])
+    the index k of the atom [cuts[k], cuts[k + 1]) that holds each piece.
+
+    The edges are np.union1d's, by the same sort and first-of-equal mask,
+    without the numpy.ma import that np.union1d makes on first use."""
+    edges = np.sort(np.concatenate((cuts, points[points < cuts[-1]])))
+    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
     return edges, np.searchsorted(cuts, edges[:-1], side="right") - 1
 
 

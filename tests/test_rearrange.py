@@ -470,13 +470,6 @@ def test_explicit_seq_weight_requires_nonincreasing():
         olk.ExplicitSeqWeight((1.0, 2.0))
 
 
-def test_cumulative_weight_helper_dispatches():
-    w = olk.StepWeight(((math.inf, 1.0),))
-    assert olk.cumulative_weight(w, 3.0) == pytest.approx(3.0)
-    sw = olk.ConstantSeqWeight(1.0)
-    assert olk.cumulative_weight(sw, 3) == pytest.approx(3.0)
-
-
 # ---------------------------------------------------------------------------
 # truncation helpers
 
