@@ -28,7 +28,7 @@ def _load_json(path, what):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read {what} file: {exc}", field=what)
     try:
         return json.loads(text)
@@ -223,8 +223,12 @@ def _emit(payload, fmt, out_path):
     else:
         text = specio.dumps(payload) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write the report: {exc}",
+                                  field="out")
     else:
         sys.stdout.write(text)
 

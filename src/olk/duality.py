@@ -374,11 +374,9 @@ class FunctionalNormReport:
 
 
 def functional_norm_report(phi, weight, h, s, **extras):
-    _check_singular_part(s)
-    conj = phi.conjugate()
-    lux_side = dual_orlicz_norm(conj, weight, h) + s
+    lux_side = functional_norm_luxemburg_side(phi, weight, h, s)
     orlicz_side = functional_norm_orlicz_side(phi, weight, h, s)
-    additive = dual_luxemburg_norm(conj, weight, h) + s
+    additive = dual_luxemburg_norm(phi.conjugate(), weight, h) + s
     return FunctionalNormReport(h, s, lux_side, orlicz_side, additive,
                                 additive - orlicz_side, dict(extras))
 

@@ -13,10 +13,10 @@ with Y(k) the Young side, the modular of k f under t p(t) - phi(t) =
 phi*(p(t)).  Y does not decrease, so the infimum is attained on the compact
 interval K(f) = [k_lower, k_upper] where Y crosses 1 (Hudzik & Maligranda,
 Indag. Math. 2000); `orlicz_norm_amemiya` finds one such k as a root of Y,
-and `k_interval` locates both ends, as roots of the conjugate-side modular
-of p(k f*), by two solves that share their probes.  For a TabulatedOrlicz
-on a finite element Y is a step function of k, and its crossing of 1 is
-found exactly, among the k where one value meets one knot.
+and `k_interval` locates both ends, as roots of the same Y, by two solves
+that share their probes.  For a TabulatedOrlicz on a finite element Y is a
+step function of k, and its crossing of 1 is found exactly, among the k
+where one value meets one knot.
 
 Finite elements evaluate exactly as weighted sums.  Each norm lays a finite
 element out once, by `rearrange.finite_layout`: the decreasing values of
@@ -402,12 +402,13 @@ class KInterval:
 
 
 def k_interval(phi, weight, f):
-    """K(f) = [k_lower, k_upper] for an N-function: where the conjugate
-    modular of p(k f*) turns >= 1 and > 1, each located by the root-finder
-    on the layout divided by its largest value.
+    """K(f) = [k_lower, k_upper] for an N-function: where the Young side
+    Y(k), the modular of k f under t p(t) - phi(t), turns >= 1 and > 1,
+    each located by the root-finder on the layout divided by its largest
+    value.
 
-    The two solves walk the same probes until one meets a k where that
-    modular is exactly 1, so its values are kept by k and the strict solve
+    The two solves walk the same probes until one meets a k where Y is
+    exactly 1, so its values are kept by k and the strict solve
     evaluates it only where its path leaves the first one's."""
     if not phi.is_n_function:
         raise DomainError("K(f) requires an N-function")
@@ -417,17 +418,16 @@ def k_interval(phi, weight, f):
     modular_at, scale = _unit_scalings(layout.values, layout.w_masses)
     if scale == 0.0:
         raise DomainError("K(f) is undefined for the zero element")
-    conj = phi.conjugate()
     seen = {}
 
-    def log_conj_side(k):
+    def log_young_side(k):
         if k not in seen:
-            total = modular_at(lambda t: conj.value(phi.derivative(t)), k)
+            total = modular_at(phi.young, k)
             seen[k] = math.log(total) if total > 0.0 else -math.inf
         return seen[k]
 
-    _, lower = solvers.increasing_root(log_conj_side, rel_tol=1e-13)
-    _, upper = solvers.increasing_root(log_conj_side, rel_tol=1e-13,
+    _, lower = solvers.increasing_root(log_young_side, rel_tol=1e-13)
+    _, upper = solvers.increasing_root(log_young_side, rel_tol=1e-13,
                                        strict=True)
     mid = 0.5 * (lower + upper)
     modular = modular_at(phi.value, mid)

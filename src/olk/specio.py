@@ -7,11 +7,13 @@ Wire format is JSON with tagged unions.  A space fragment looks like
      "weight": {"kind": "step", "pieces": [[1.0, 1.0], ["inf", 0.5]]}}
 
 and elements carry a "kind" tag.  Infinities are encoded as the strings
-"inf" / "-inf".  Floats are written with 17 significant digits so every
-emitted description re-parses to an equal object; `dumps` is a deterministic
-writer used for all CLI output.
+"inf" / "-inf" (and nan as "nan").  `dumps`, the writer for all CLI output,
+is the standard json encoder: floats come out as their shortest round-trip
+repr, so every emitted description re-parses to an equal object, and the
+same payload always gives the same text.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -302,85 +304,34 @@ def serialize_space(spec):
 # ---------------------------------------------------------------------------
 # deterministic JSON / CSV writers
 
-def _format_float(x):
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"inf"' if x > 0 else '"-inf"'
-    return format(x, ".17g")
-
-
-def _write(obj, parts, indent, depth):
-    pad = "" if indent is None else "\n" + " " * (indent * (depth + 1))
-    close = "" if indent is None else "\n" + " " * (indent * depth)
-    sep = "," if indent is None else ","
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, str):
-        parts.append(_escape(obj))
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
-        parts.append(_format_float(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        parts.append("{")
-        for i, (key, value) in enumerate(obj.items()):
-            if i:
-                parts.append(sep)
-            parts.append(pad)
-            parts.append(_escape(str(key)))
-            parts.append(": " if indent is not None else ":")
-            _write(value, parts, indent, depth + 1)
-        parts.append(close + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
-        parts.append("[")
-        for i, value in enumerate(obj):
-            if i:
-                parts.append(sep)
-            parts.append(pad)
-            _write(value, parts, indent, depth + 1)
-        parts.append(close + "]")
-    else:
-        raise ValidationError(f"cannot serialize {type(obj).__name__}",
-                              field="payload")
-
-
-def _escape(text):
-    out = ['"']
-    for ch in text:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
+def _plain(obj):
+    """obj with tuples as lists, keys as strings and non-finite floats as
+    "inf", "-inf" or "nan": what the json module writes as strict JSON."""
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            return obj
+        return "nan" if math.isnan(obj) else ("inf" if obj > 0 else "-inf")
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
+    if isinstance(obj, dict):
+        return {str(key): _plain(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value) for value in obj]
+    raise ValidationError(f"cannot serialize {type(obj).__name__}",
+                          field="payload")
 
 
 def dumps(obj, *, indent=2):
-    """Deterministic JSON text: insertion-ordered keys, 17-digit floats."""
-    parts = []
-    _write(obj, parts, indent, 0)
-    return "".join(parts)
+    """Deterministic JSON text: insertion-ordered keys, floats as their
+    shortest round-trip repr; indent=None gives compact output."""
+    return json.dumps(_plain(obj), ensure_ascii=False, allow_nan=False,
+                      indent=indent,
+                      separators=(",", ":") if indent is None else None)
 
 
 def _csv_cell(value):
     if isinstance(value, float):
-        text = _format_float(value)
-        return text.strip('"')
+        return repr(float(value))
     text = str(value)
     if any(ch in text for ch in ",\"\n"):
         return '"' + text.replace('"', '""') + '"'

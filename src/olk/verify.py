@@ -24,7 +24,7 @@ from . import level as level_mod
 from . import specio
 from .duality import (P_modular, P_modular_oracle, functional_norm_report,
                       holder_check, non_m_ideal_witness, young_witness)
-from .errors import UndecidedError
+from .errors import UndecidedError, ValidationError
 from .norms import (amemiya_pairing_report, k_interval, luxemburg_norm,
                     orlicz_norm_amemiya, orlicz_norm_dual_sup_oracle,
                     rho_modular, theta)
@@ -727,18 +727,24 @@ def verify_suite(seed=42, sizes=None, cases=None, threads=None):
     """Run the property suite; deterministic for a fixed seed.
 
     sizes bounds the random support sizes (default 6).  cases, if given,
-    selects case ids or dotted prefixes.  Thread count is capped by the
-    OLK_THREADS environment variable.
+    selects case ids or dotted prefixes; a ValidationError names those
+    that match no case.  Thread count is capped by the OLK_THREADS
+    environment variable.
     """
     sizes = 6 if sizes is None else int(sizes)
-    selected = []
-    for index, (case_id, fn) in enumerate(CASES):
-        if cases is not None:
-            wanted = any(case_id == c or case_id.startswith(c + ".")
-                         or case_id.split(".")[0] == c for c in cases)
-            if not wanted:
-                continue
-        selected.append((index, (case_id, fn)))
+    selected = list(enumerate(CASES))
+    if cases is not None:
+        def picks(c, case_id):
+            return case_id == c or case_id.startswith(c + ".")
+
+        unknown = [c for c in cases
+                   if not any(picks(c, case_id) for case_id, _ in CASES)]
+        if unknown or not cases:
+            raise ValidationError(
+                f"no case matches {', '.join(unknown) or 'an empty list'}",
+                field="suite")
+        selected = [entry for entry in selected
+                    if any(picks(c, entry[1][0]) for c in cases)]
     if threads is None:
         threads = min(8, max(len(selected), 1))
     env_cap = os.environ.get("OLK_THREADS")

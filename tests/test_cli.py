@@ -188,6 +188,28 @@ def test_missing_file_exits_2(capsys, unit_space_file):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("which", ["--space", "--element"])
+def test_non_utf8_input_exits_2(capsys, tmp_path, unit_space_file,
+                                unit_element_file, which):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(b'{"kind": "step", "atoms": [], "note": "caf\xe9"}')
+    argv = ["norm", "--space", unit_space_file, "--element",
+            unit_element_file]
+    argv[argv.index(which) + 1] = str(bad)
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "error:" in err
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path, unit_space_file,
+                                unit_element_file):
+    code, _, err = run_cli(capsys, "norm", "--space", unit_space_file,
+                           "--element", unit_element_file,
+                           "--out", str(tmp_path / "missing" / "r.json"))
+    assert code == 2
+    assert "error:" in err
+
+
 def test_invalid_space_exits_2(capsys, tmp_path, unit_element_file):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"phi": {"family": "nope"},
@@ -226,6 +248,14 @@ def test_verify_small_slice_green(capsys):
     payload = json.loads(out)
     assert payload["violations"] == 0
     assert payload["rows"]
+
+
+@pytest.mark.parametrize("suite", ["nrms", "norms,nrms", ","])
+def test_verify_unknown_suite_exits_2(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
 
 
 def test_verify_is_byte_identical_across_runs(tmp_path):

@@ -94,55 +94,63 @@ def test_k_interval_anchor(quad_phi, lebesgue_weight):
     assert ki.attained_norm == pytest.approx(math.sqrt(2.0), rel=1e-9)
 
 
-class _CountingConjugate:
-    """The conjugate of phi, recording the argument of each value call."""
-
-    def __init__(self, phi):
-        self.real, self.calls = phi.conjugate(), []
-
-    def value(self, v):
-        self.calls.append(v)
-        return self.real.value(v)
-
-
 class _CountedPower(olk.PowerOrlicz):
-    """A PowerOrlicz whose conjugate counts its evaluations."""
+    """A PowerOrlicz recording the argument of each call of its Young side."""
 
-    def conjugate(self):
-        return self.counted
+    def __post_init__(self):
+        super().__post_init__()
+        self.calls = []
+
+    def young(self, u):
+        self.calls.append(np.asarray(u).tolist())
+        return super().young(u)
 
 
-@pytest.mark.parametrize("exponent, scale, meets_one", [(3.0, 1.0, False),
-                                                        (2.5, 0.75, True)])
+@pytest.mark.parametrize("exponent, scale, w, f, meets_one", [
+    pytest.param(3.0, 1.0, olk.HarmonicSeqWeight(),
+                 olk.FiniteSequence((3.0, -1.25, 1.25, 0.5, 0.0, 0.1875)),
+                 False, id="3.0-1.0-False"),
+    # Y(k) = 1.125 k^2.5 (8/9) rounds to exactly 1 at the first probe, k = 1
+    pytest.param(2.5, 0.75, olk.ConstantSeqWeight(8.0 / 9.0),
+                 olk.FiniteSequence((3.0,)), True, id="2.5-0.75-True"),
+])
 def test_k_interval_strict_solve_reuses_the_first_solves_probes(
-        exponent, scale, meets_one):
-    plain = olk.PowerOrlicz(exponent, scale)
-    w = olk.HarmonicSeqWeight()
-    f = olk.FiniteSequence((3.0, -1.25, 1.25, 0.5, 0.0, 0.1875))
-    # the two solves, unmemoised, on the conjugate-side modular
+        exponent, scale, w, f, meets_one):
+    # the two solves, unmemoised, on the Young side
     layout = finite_layout(f.rearranged(), w)
     modular_at, unit_scale = _unit_scalings(layout.values, layout.w_masses)
     solves = []
     for strict in (False, True):
-        conj = _CountingConjugate(plain)
+        counted = _CountedPower(exponent, scale)
 
-        def log_conj_side(k):
-            total = modular_at(lambda t: conj.value(plain.derivative(t)), k)
+        def log_young_side(k):
+            total = modular_at(counted.young, k)
             return math.log(total) if total > 0.0 else -math.inf
-        bracket = solvers.increasing_root(log_conj_side, rel_tol=1e-13,
+        bracket = solvers.increasing_root(log_young_side, rel_tol=1e-13,
                                           strict=strict)
-        solves.append((bracket, [v.tolist() for v in conj.calls]))
+        solves.append((bracket, counted.calls))
     (first, probes), (second, strict_probes) = solves
-    # where a probe meets a modular of exactly 1 the two paths part
+    # where a probe meets a Young side of exactly 1 the two paths part
     assert (probes != strict_probes) == meets_one
 
     phi = _CountedPower(exponent, scale)
-    phi.counted = _CountingConjugate(plain)
     ki = olk.k_interval(phi, w, f)
     distinct = {tuple(v) for v in probes + strict_probes}
-    assert len(phi.counted.calls) == len(distinct)
+    assert len(phi.calls) == len(distinct)
     assert ki.lower == first[1] / unit_scale
     assert ki.upper == second[1] / unit_scale
+
+
+def test_k_interval_of_a_tiny_measure_step():
+    # p(k) overflows at the probe k = 2^16, where the Young side must read
+    # +inf, not fail; the Orlicz norm is attained on K(f)
+    phi = olk.ExpOrlicz()
+    w = olk.StepWeight(((math.inf, 1.0),))
+    f = olk.StepFunction(((1.0, 1e-200),))
+    ki = olk.k_interval(phi, w, f)
+    norm = olk.orlicz_norm_amemiya(phi, w, f)
+    assert ki.lower == pytest.approx(454.4002433240928, rel=1e-12)
+    assert ki.attained_norm == pytest.approx(norm, rel=1e-12)
 
 
 def test_sequence_norm_anchor(quad_phi):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import olk
-from olk import specio
+from olk import cli, specio
 from olk.errors import ValidationError
 
 from conftest import rand_phi, rand_seq_weight, rand_step_weight
@@ -123,10 +123,30 @@ def test_float_formatting_preserves_precision():
     assert json.loads(specio.dumps(data))["x"] == value
 
 
+def test_float_types_survive_a_round_trip():
+    values = [2.0, 1e16, np.float64(0.1), -0.0]
+    back = json.loads(specio.dumps({"x": values}))["x"]
+    assert back == values
+    assert all(type(v) is float for v in back)
+    assert specio.dumps(0.1) == "0.1"
+
+
 def test_infinities_encoded_as_strings():
-    out = specio.dumps({"a": math.inf, "b": -math.inf})
+    out = specio.dumps({"a": math.inf, "b": -math.inf, "c": math.nan})
     parsed = json.loads(out)
-    assert parsed == {"a": "inf", "b": "-inf"}
+    assert parsed == {"a": "inf", "b": "-inf", "c": "nan"}
+
+
+@pytest.mark.parametrize("value", [object(), {1, 2}, np.int64(3), b"x"])
+def test_dumps_rejects_unsupported_types(value):
+    with pytest.raises(ValidationError) as info:
+        specio.dumps({"rows": [value]})
+    assert info.value.field == "payload"
+
+
+def test_dumps_without_indent_is_compact():
+    out = specio.dumps({"a": [1, 2.5, (True, None)], "b": {}}, indent=None)
+    assert out == '{"a":[1,2.5,[true,null]],"b":{}}'
 
 
 def test_dumps_is_deterministic_and_insertion_ordered():
@@ -139,11 +159,15 @@ def test_dumps_is_deterministic_and_insertion_ordered():
 
 
 def test_dumps_csv_key_value_mode():
-    out = specio.dumps_csv({"schema": "olk/1", "value": 1.5})
+    out = specio.dumps_csv({"schema": "olk/1", "value": 1.5, "tenth": 0.1,
+                            "top": math.inf})
     lines = out.strip().splitlines()
     assert lines[0] == "key,value"
     assert "schema,olk/1" in lines
     assert any(line.startswith("value,1.5") for line in lines)
+    # the JSON writer's float format
+    assert "tenth,0.1" in lines
+    assert "top,inf" in lines
 
 
 def test_dumps_csv_rows_mode():
@@ -152,6 +176,30 @@ def test_dumps_csv_rows_mode():
     lines = out.strip().splitlines()
     assert lines[0] == "a,b"
     assert lines[1].startswith("1,")
+
+
+def _strict_loads(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("command", ["norm", "dualnorm", "level", "kinterval",
+                                     "theta", "holder", "witness", "verify"])
+def test_every_cli_report_is_strict_json(command, tmp_path, capsys):
+    space, elem = tmp_path / "space.json", tmp_path / "elem.json"
+    space.write_text(json.dumps({
+        "setting": "function",
+        "phi": {"family": "power", "r": 2.0, "scale": 0.5},
+        "weight": {"kind": "step", "pieces": [[2.0, 2.0], ["inf", 0.5]]}}))
+    elem.write_text(json.dumps({"kind": "step",
+                                "atoms": [[3.0, 0.5], [1.0, 1.5]]}))
+    files = ["--space", str(space), "--element", str(elem)]
+    argv = {"holder": files + ["--against", str(elem)],
+            "witness": ["--space", str(space), "--s", "0.5", "--u", "1.0"],
+            "verify": ["--suite", "orlicz", "--seed", "5"]}.get(command, files)
+    assert cli.main([command] + argv) == 0
+    assert _strict_loads(capsys.readouterr().out)["schema"] == "olk/1"
 
 
 # ---------------------------------------------------------------------------
