@@ -79,14 +79,14 @@ def _level_masses(phi, weight, h):
     layout = finite_layout(h.rearranged(), weight)
     if layout.values.size and not phi.is_n_function:
         raise DomainError("the level formula for P requires an N-function")
-    blocks = np.array(level_mod._level_blocks(layout)).reshape(-1, 4)
-    return blocks[:, 2] / blocks[:, 3], blocks[:, 3]
+    _, _, h_masses, w_masses = level_mod._level_blocks(layout)
+    return h_masses / w_masses, w_masses
 
 
 def P_modular(phi, weight, h):
     """Dual modular of h: sum of phi(ratio) * weight mass over the maximal
     level intervals of h* with respect to the weight."""
-    return _finite_modular(phi.value, *_level_masses(phi, weight, h))
+    return _finite_modular(phi._value, *_level_masses(phi, weight, h))
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +171,7 @@ def dual_luxemburg_norm(phi, weight, h, *, rel_tol=1e-12):
     if scale == 0.0:
         return 0.0
     try:
-        return scale * solvers.gauge_norm(lambda c: P_at(phi.value, c),
+        return scale * solvers.gauge_norm(lambda c: P_at(phi._value, c),
                                           rel_tol=rel_tol)
     except ConvergenceError as exc:
         raise NotInSpaceError("no tested scaling has P <= 1") from exc
@@ -183,8 +183,8 @@ def dual_orlicz_norm(phi, weight, h, *, rel_tol=1e-12):
     P_at, scale = _unit_scalings(*_level_masses(phi, weight, h))
     if scale == 0.0:
         return 0.0
-    return scale * solvers.amemiya_norm(lambda k: P_at(phi.value, k),
-                                        lambda k: P_at(phi.young, k),
+    return scale * solvers.amemiya_norm(lambda k: P_at(phi._value, k),
+                                        lambda k: P_at(phi._young, k),
                                         rel_tol=rel_tol)
 
 
@@ -246,10 +246,11 @@ def young_witness(phi, weight, h):
     # the pieces of one atom share a weight level or step down it, so they
     # fall into one block: each value takes the ratio of its pieces' block
     piece_values = layout.values.tolist()
+    firsts, ends, h_masses, w_masses = blocks
     ratio_of = {}
-    for first, end, h_mass, w_mass in blocks:
-        ratio_of.update(dict.fromkeys(piece_values[first:end],
-                                      h_mass / w_mass))
+    for first, end, ratio in zip(firsts.tolist(), ends.tolist(),
+                                 (h_masses / w_masses).tolist()):
+        ratio_of.update(dict.fromkeys(piece_values[first:end], ratio))
     ratios = np.array([ratio_of[v] for v in vals.tolist()])
     v_layout = vals / ratios
 
@@ -346,7 +347,7 @@ def functional_norm_orlicz_side(phi, weight, h, s, *, rel_tol=1e-12):
         return 0.0
     unit, s_unit = ratios / scale, s / scale
     return scale * solvers.gauge_norm(
-        lambda c: _finite_modular(conj.value, c * unit, masses) + c * s_unit,
+        lambda c: _finite_modular(conj._value, c * unit, masses) + c * s_unit,
         rel_tol=rel_tol)
 
 

@@ -19,14 +19,22 @@ would merge the whole run into one block.  A pool-adjacent-violators
 sweep pushes the pieces left to right and merges a new piece into its
 predecessor while the predecessor's ratio does not exceed the newcomer's
 (ties merge).  Ratio comparisons cross-multiply the masses, so
-data with exactly representable products compares exactly.  The dual norms
-and the Young witness read the same blocks through `_level_blocks`.
+data with exactly representable products compares exactly.  The sweep is
+one Python loop; it returns the blocks as four array columns (first piece,
+end piece, h mass, weight mass), which the dual norms and the Young witness
+read through `_level_blocks` without building a LevelInterval per block.
+`evaluate_level` finds a point's interval by bisection over the upper ends.
 
 The sequence variant replaces integrals by sums over index blocks (a, b] =
 {a + 1, ..., b}.
 """
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
+
+import numpy as np
 
 from .errors import DomainError
 from .rearrange import FiniteSequence, StepFunction, finite_layout
@@ -35,8 +43,7 @@ __all__ = ["LevelInterval", "LevelDecomposition", "level_function",
            "level_sequence", "evaluate_level"]
 
 
-@dataclass(frozen=True)
-class LevelInterval:
+class LevelInterval(NamedTuple):
     """One maximal level interval; sequence intervals cover (lower, upper]."""
 
     lower: float
@@ -57,10 +64,15 @@ class LevelDecomposition:
     def value(self, t):
         return evaluate_level(self, t)
 
+    @cached_property
+    def _uppers(self):
+        return [block.upper for block in self.intervals]
+
 
 def _merge_blocks(h_masses, w_masses):
-    """PAVA sweep over piece masses: (first, end, h_mass, w_mass) of each
-    block, which holds the pieces first, ..., end - 1."""
+    """PAVA sweep over piece masses: the columns (first, end, h_mass,
+    w_mass) of the blocks, each of which holds the pieces first, ...,
+    end - 1."""
     firsts, hs, ws = [], [], []
     for k, (h_new, w_new) in enumerate(zip(h_masses, w_masses)):
         first = k
@@ -73,25 +85,32 @@ def _merge_blocks(h_masses, w_masses):
         firsts.append(first)
         hs.append(h_new)
         ws.append(w_new)
-    return list(zip(firsts, firsts[1:] + [len(h_masses)], hs, ws))
+    ends = firsts[1:] + [len(h_masses)] if firsts else []
+    return (np.array(firsts, dtype=np.intp), np.array(ends, dtype=np.intp),
+            np.array(hs, dtype=float), np.array(ws, dtype=float))
 
 
 def _level_blocks(layout):
     """Maximal level intervals of a FiniteLayout with positive h mass, as
-    (first piece, end piece, h mass, weight mass); ratios nonincreasing."""
-    blocks = _merge_blocks(layout.h_masses.tolist(),
-                           layout.w_masses.tolist())
-    return [block for block in blocks if block[2] > 0.0]
+    the columns (first piece, end piece, h mass, weight mass); ratios
+    nonincreasing."""
+    columns = _merge_blocks(layout.h_masses.tolist(),
+                            layout.w_masses.tolist())
+    keep = columns[2] > 0.0
+    return tuple(column[keep] for column in columns)
 
 
 def _decomposition(layout, blocks, h, w):
     """LevelDecomposition of canonical h from its layout and level blocks;
     ends are Python floats, or ints in the sequence setting."""
-    edges = layout.edges.tolist()
-    intervals = tuple(LevelInterval(edges[a], edges[b], hm / wm, hm, wm)
-                      for a, b, hm, wm in blocks)
+    firsts, ends, h_masses, w_masses = blocks
+    edges = layout.edges
+    intervals = tuple(map(LevelInterval, edges[firsts].tolist(),
+                          edges[ends].tolist(),
+                          (h_masses / w_masses).tolist(), h_masses.tolist(),
+                          w_masses.tolist()))
     setting = "function" if isinstance(h, StepFunction) else "sequence"
-    return LevelDecomposition(intervals, setting, edges[-1], h, w)
+    return LevelDecomposition(intervals, setting, edges[-1].item(), h, w)
 
 
 def _level(h, w, kind):
@@ -115,19 +134,21 @@ def level_sequence(h, w):
 
 
 def evaluate_level(dec, t):
-    """h0 at a point of the domain; zero beyond the support."""
+    """h0 at a point of the domain; zero beyond the support.  The
+    intervals are found by bisection over their upper ends: a function
+    interval holds [lower, upper), a sequence interval (lower, upper]."""
     if dec.setting == "function":
         gamma = dec.weight.gamma
         if not (0.0 <= t < gamma):
             raise DomainError("argument outside [0, gamma)")
-        for block in dec.intervals:
-            if block.lower <= t < block.upper:
-                return block.ratio * dec.weight.value(t)
+        j = bisect_right(dec._uppers, t)
+        if j < len(dec.intervals) and dec.intervals[j].lower <= t:
+            return dec.intervals[j].ratio * dec.weight.value(t)
         return 0.0
     index = int(t)
     if index != t or index < 1:
         raise DomainError("sequence positions are integers >= 1")
-    for block in dec.intervals:
-        if block.lower < index <= block.upper:
-            return block.ratio * dec.weight.value(index)
+    j = bisect_left(dec._uppers, index)
+    if j < len(dec.intervals) and dec.intervals[j].lower < index:
+        return dec.intervals[j].ratio * dec.weight.value(index)
     return 0.0

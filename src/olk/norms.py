@@ -25,11 +25,15 @@ entries, with the weight mass of each piece.  It divides the values by the
 largest one and solves a scalar problem on those arrays: the modular of
 c f is sum phi(c v_i) m_i, so no element is rebuilt inside a solver loop,
 and norms come back multiplied by the divisor, which keeps every solve
-inside its bracket at any magnitude.
+inside its bracket at any magnitude.  The values were validated when the
+element was built and the scalings stay finite, so each probe calls the
+Orlicz function's bare kernel (phi._value, phi._young) under
+_finite_modular's errstate, with no revalidation.
 
-Parametric profiles are integrated by adaptive quadrature after a log
-substitution, once `_threshold` has found the integral convergent from the
-growth types of psi, the weight and f* at each end; the same rule gives
+Parametric profiles are integrated by adaptive quadrature, through the
+public scalar-safe phi.value and phi.young, after a log substitution, once
+`_threshold` has found the integral convergent from the growth types of
+psi, the weight and f* at each end; the same rule gives
 theta(f) = inf{lam : modular(f / lam) < inf} in closed form.  Their norms
 are solved on f / s, with s a representative value of f, as finite norms
 are on the layout divided by its largest value.
@@ -83,6 +87,8 @@ def _check_oracle_size(layout):
 # exact modulars for finite data
 
 def _finite_modular(psi, values, masses):
+    """sum psi(values) masses, +inf when it overflows; psi may be an Orlicz
+    kernel, which runs here under the errstate the public methods give."""
     if values.size == 0:
         return 0.0
     with np.errstate(over="ignore"):
@@ -248,14 +254,15 @@ def rho_modular(phi, weight, f):
 
     Returns math.inf when the integral diverges.
     """
-    return _modular(phi.value, phi.growth, weight, f)
-
-
-def _modular(psi, growth, weight, f):
-    """rho_modular with psi, of the growth types growth, for phi.value."""
     layout = _finite_layout(weight, f)
     if layout is not None:
-        return _finite_modular(psi, layout.values, layout.w_masses)
+        return _finite_modular(phi._value, layout.values, layout.w_masses)
+    return _parametric_modular(phi.value, phi.growth, weight, f)
+
+
+def _parametric_modular(psi, growth, weight, f):
+    """The modular of a parametric profile f under psi, of the growth
+    types growth, through the public scalar-safe psi."""
     if isinstance(f, DecreasingProfile):
         if not isinstance(weight, Weight):
             raise DomainError("function elements need a function weight")
@@ -270,7 +277,7 @@ def _modular(psi, growth, weight, f):
 def _unit_scalings(values, masses):
     """(modular_at, scale) with scale = values[0], the largest value, and
     modular_at(psi, c) = sum psi(c values / scale) masses; scale is 0 for
-    an empty layout.
+    an empty layout.  psi is an Orlicz kernel, such as phi._value.
 
     Norms of the layout are scale times norms of the layout divided by
     scale, whose largest value is 1, so every solve starts inside its
@@ -291,31 +298,38 @@ def _profile_scale(f):
     return float(f.rearranged_value(min(1.0, 0.5 * f.support_measure)))
 
 
-def _scalings(weight, f, layout):
-    """(modular_at, scale) with modular_at(psi, growth, c) the modular of
-    c f / scale under psi, and scale 0 for the zero element; layout is
-    _finite_layout(weight, f).
+def _scalings(phi, weight, f, layout):
+    """(value_at, young_at, scale): the modulars of c f / scale under phi
+    and under its Young side t p(t) - phi(t), as functions of c, with scale
+    0 for the zero element; layout is _finite_layout(weight, f).
 
-    A finite element is laid out once; a profile is rebuilt by
-    f.scaled(c / scale) at each step, with scale a representative value
-    of f, so its solves too start near the answer at any magnitude.
+    A finite element is laid out once and probed through the kernels
+    phi._value and phi._young.  A profile is rebuilt by f.scaled(c / scale)
+    at each step, with scale a representative value of f, so its solves
+    too start near the answer at any magnitude; its quadrature calls the
+    public, scalar-safe phi.value and phi.young.
     """
     if layout is None:
         scale = _profile_scale(f)
-        return ((lambda psi, growth, c:
-                 _modular(psi, growth, weight, f.scaled(c / scale))), scale)
+
+        def at(psi, growth):
+            return lambda c: _parametric_modular(psi, growth, weight,
+                                                 f.scaled(c / scale))
+        return (at(phi.value, phi.growth),
+                at(phi.young, phi.young_growth), scale)
     finite_at, scale = _unit_scalings(layout.values, layout.w_masses)
-    return (lambda psi, growth, c: finite_at(psi, c)), scale
+    value, young = phi._value, phi._young
+    return (lambda c: finite_at(value, c), lambda c: finite_at(young, c),
+            scale)
 
 
 def luxemburg_norm(phi, weight, f, *, rel_tol=1e-10):
     """Gauge norm inf{eps : modular(f / eps) <= 1}."""
-    modular_at, scale = _scalings(weight, f, _finite_layout(weight, f))
+    value_at, _, scale = _scalings(phi, weight, f, _finite_layout(weight, f))
     if scale == 0.0:
         return 0.0
     try:
-        return scale * solvers.gauge_norm(
-            lambda c: modular_at(phi.value, phi.growth, c), rel_tol=rel_tol)
+        return scale * solvers.gauge_norm(value_at, rel_tol=rel_tol)
     except UndecidedError:
         raise
     except ConvergenceError as exc:
@@ -337,23 +351,22 @@ def orlicz_norm_amemiya(phi, weight, f, *, rel_tol=1e-10):
     layout = _finite_layout(weight, f)
     if layout is not None and isinstance(phi, TabulatedOrlicz):
         return _tabulated_amemiya(phi, layout.values, layout.w_masses)
-    modular_at, scale = _scalings(weight, f, layout)
+    value_at, young_at, scale = _scalings(phi, weight, f, layout)
     if scale == 0.0:
         return 0.0
     try:
-        value = solvers.amemiya_norm(
-            lambda k: modular_at(phi.value, phi.growth, k),
-            lambda k: modular_at(phi.young, phi.young_growth, k),
-            rel_tol=rel_tol)
+        value = solvers.amemiya_norm(value_at, young_at, rel_tol=rel_tol)
     except UndecidedError:
         raise
     except ConvergenceError:
-        # the Young side stayed below 1 up to the root-finder's cap
+        # the Young side stayed below 1 up to the root-finder's cap; a
+        # finite element under a TabulatedOrlicz was solved exactly above
         if not isinstance(phi, TabulatedOrlicz):
             raise
         slope = float(phi.derivative(phi.knots[-1][0]))
         # the identity grows as phi does here, as (1, 0) at both ends
-        return scale * slope * modular_at(lambda t: t, phi.growth, 1.0)
+        return scale * slope * _parametric_modular(
+            lambda t: t, phi.growth, weight, f.scaled(1.0 / scale))
     if math.isinf(value):
         raise NotInSpaceError("no tested scaling has a finite modular")
     return scale * value
@@ -389,7 +402,7 @@ def _tabulated_amemiya(phi, values, masses):
     k = float(crossings[order[reached[0]]]) if reached.size else math.inf
     if math.isinf(k):
         return scale * float(slopes[-1]) * float(np.sum(unit * masses))
-    return scale * (1.0 + _finite_modular(phi.value, k * unit, masses)) / k
+    return scale * (1.0 + _finite_modular(phi._value, k * unit, masses)) / k
 
 
 @dataclass(frozen=True)
@@ -422,7 +435,7 @@ def k_interval(phi, weight, f):
 
     def log_young_side(k):
         if k not in seen:
-            total = modular_at(phi.young, k)
+            total = modular_at(phi._young, k)
             seen[k] = math.log(total) if total > 0.0 else -math.inf
         return seen[k]
 
@@ -430,7 +443,7 @@ def k_interval(phi, weight, f):
     _, upper = solvers.increasing_root(log_young_side, rel_tol=1e-13,
                                        strict=True)
     mid = 0.5 * (lower + upper)
-    modular = modular_at(phi.value, mid)
+    modular = modular_at(phi._value, mid)
     return KInterval(lower / scale, upper / scale,
                      scale * (1.0 + modular) / mid)
 

@@ -26,8 +26,13 @@ from its derivative, one scalar root per entry; it is the default for
 functions outside the catalog and the independent route the closed forms are
 checked against.
 
-Values and derivatives accept scalars or numpy arrays of nonnegative numbers.
-Instances are treated as immutable; the conjugate is computed once and cached.
+The public value, derivative and young validate their argument, take scalars
+or numpy arrays of finite nonnegative numbers and give back the same kind.
+Each runs a trusted array kernel, _value, _derivative or _young, under
+np.errstate(over="ignore"); the kernels check nothing, and the solves on
+finite elements call them at every probe under the same errstate.  A
+subclass that overrides only the public value and derivative gets kernels
+that call them.  Instances are immutable; the conjugate is cached.
 
 `growth` and `young_growth` give the types of phi and of u p(u) - phi(u)
 at 0 and at infinity: (r, b) is u^r l^b with l = log(1/u) at 0 and log u
@@ -94,25 +99,24 @@ def _series(u, coeffs):
 
 
 def _exp_minus_linear(arr):
-    """exp(u) - 1 - u for an array of u >= 0."""
+    """exp(u) - 1 - u for an array of u >= 0; +inf where it overflows."""
     small = arr < _SERIES_BELOW
     if small.all():
         return _series(arr, _EXP_SERIES)
-    with np.errstate(over="ignore"):
-        out = np.expm1(arr) - arr
+    out = np.expm1(arr) - arr
     if small.any():
         out[small] = _series(arr[small], _EXP_SERIES)
     return out
 
 
 def _log_minus_linear(arr):
-    """(1 + u) log(1 + u) - u for an array of u >= 0."""
+    """(1 + u) log(1 + u) - u for an array of u >= 0; +inf where it
+    overflows."""
     w = np.log1p(arr)
     small = arr < _SERIES_BELOW
     if small.all():
         return _log_by_series(arr, w)
-    with np.errstate(over="ignore"):
-        out = arr * w - _exp_minus_linear(w)
+    out = arr * w - _exp_minus_linear(w)
     if small.any():
         out[small] = _log_by_series(arr[small], w[small])
     return out
@@ -156,19 +160,41 @@ class OrliczFunction:
                 _young_type(self.growth[1], False))
 
     def value(self, u):
-        raise NotImplementedError
+        arr = _as_array(u)
+        with np.errstate(over="ignore"):
+            out = self._value(arr)
+        return _like(out, u)
 
     def derivative(self, u):
         """Right derivative; nondecreasing and right-continuous."""
-        raise NotImplementedError
+        arr = _as_array(u)
+        with np.errstate(over="ignore"):
+            out = self._derivative(arr)
+        return _like(out, u)
 
     def young(self, u):
         """u p(u) - phi(u), which is phi*(p(u)) by Young's equality;
         nondecreasing, and +inf where either term overflows."""
         arr = _as_array(u)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = arr * self.derivative(arr) - self.value(arr)
-        return _like(np.where(np.isnan(out), np.inf, out), u)
+        with np.errstate(over="ignore"):
+            out = self._young(arr)
+        return _like(out, u)
+
+    def _value(self, arr):
+        if type(self).value is OrliczFunction.value:
+            raise NotImplementedError
+        return self.value(arr)
+
+    def _derivative(self, arr):
+        if type(self).derivative is OrliczFunction.derivative:
+            raise NotImplementedError
+        return self.derivative(arr)
+
+    def _young(self, arr):
+        # inf - inf, where both terms overflow, is +inf
+        with np.errstate(invalid="ignore"):
+            out = arr * self._derivative(arr) - self._value(arr)
+        return np.where(np.isnan(out), np.inf, out)
 
     def conjugate(self):
         """The convex conjugate as another OrliczFunction."""
@@ -196,17 +222,11 @@ class PowerOrlicz(OrliczFunction):
                                   field="phi.scale")
         self.growth = ((self.exponent, 0.0), (self.exponent, 0.0))
 
-    def value(self, u):
-        arr = _as_array(u)
-        with np.errstate(over="ignore"):
-            out = self.scale * arr**self.exponent
-        return _like(out, u)
+    def _value(self, arr):
+        return self.scale * arr**self.exponent
 
-    def derivative(self, u):
-        arr = _as_array(u)
-        with np.errstate(over="ignore"):
-            out = self.scale * self.exponent * arr**(self.exponent - 1.0)
-        return _like(out, u)
+    def _derivative(self, arr):
+        return self.scale * self.exponent * arr**(self.exponent - 1.0)
 
     def _build_conjugate(self):
         r = self.exponent
@@ -223,15 +243,8 @@ class ExpOrlicz(OrliczFunction):
 
     growth = ((2.0, 0.0), "exp")
 
-    def value(self, u):
-        arr = _as_array(u)
-        return _like(_exp_minus_linear(arr), u)
-
-    def derivative(self, u):
-        arr = _as_array(u)
-        with np.errstate(over="ignore"):
-            out = np.expm1(arr)
-        return _like(out, u)
+    _value = staticmethod(_exp_minus_linear)
+    _derivative = staticmethod(np.expm1)
 
     def _build_conjugate(self):
         partner = LogOrlicz()
@@ -245,13 +258,8 @@ class LogOrlicz(OrliczFunction):
 
     growth = ((2.0, 0.0), (1.0, 1.0))
 
-    def value(self, u):
-        arr = _as_array(u)
-        return _like(_log_minus_linear(arr), u)
-
-    def derivative(self, u):
-        arr = _as_array(u)
-        return _like(np.log1p(arr), u)
+    _value = staticmethod(_log_minus_linear)
+    _derivative = staticmethod(np.log1p)
 
     def _build_conjugate(self):
         partner = ExpOrlicz()
@@ -291,24 +299,21 @@ class FlatZeroOrlicz(OrliczFunction):
                                   "construction is not strictly convex",
                                   field="phi.cutoff")
 
-    def value(self, u):
-        arr = _as_array(u)
+    def _value(self, arr):
         with np.errstate(divide="ignore"):
             head = np.exp(-1.0 / np.maximum(arr, 1e-300))
         d = arr - self.cutoff
-        with np.errstate(over="ignore"):
-            tail = self._f_c + self._p_c * d + 0.5 * self._curv * d * d
-        return _like(np.where(arr <= self.cutoff, head, tail), u)
+        tail = self._f_c + self._p_c * d + 0.5 * self._curv * d * d
+        return np.where(arr <= self.cutoff, head, tail)
 
-    def derivative(self, u):
-        arr = _as_array(u)
+    def _derivative(self, arr):
         with np.errstate(divide="ignore", over="ignore"):
             safe = np.maximum(arr, 1e-300)
             # 0, not 0 / 0, where safe^2 underflows; past the cutoff the
             # head is discarded, also where safe^2 overflows
             head = np.exp(-1.0 / safe) / np.maximum(safe**2, 1e-300)
         tail = self._p_c + self._curv * (arr - self.cutoff)
-        return _like(np.where(arr <= self.cutoff, head, tail), u)
+        return np.where(arr <= self.cutoff, head, tail)
 
     def _build_conjugate(self):
         return FlatZeroConjugate(self)
@@ -351,17 +356,15 @@ class TabulatedOrlicz(OrliczFunction):
         self._ys = ys
         self._slopes = slopes
 
-    def value(self, u):
-        arr = _as_array(u)
+    def _value(self, arr):
         inside = np.interp(arr, self._ts, self._ys)
         beyond = self._ys[-1] + self._slopes[-1] * (arr - self._ts[-1])
-        return _like(np.where(arr <= self._ts[-1], inside, beyond), u)
+        return np.where(arr <= self._ts[-1], inside, beyond)
 
-    def derivative(self, u):
-        arr = _as_array(u)
+    def _derivative(self, arr):
         seg = np.searchsorted(self._ts, arr, side="right") - 1
         seg = np.clip(seg, 0, len(self._slopes) - 1)
-        return _like(self._slopes[seg], u)
+        return self._slopes[seg]
 
     def _build_conjugate(self):
         return TabulatedConjugate(self)
@@ -384,8 +387,8 @@ class Conjugate(OrliczFunction):
         self.growth = (_conjugate_type(self.base.growth[0], True),
                        _conjugate_type(self.base.growth[1], False))
 
-    def young(self, v):
-        return self.base.value(self.derivative(v))
+    def _young(self, arr):
+        return self.base._value(self._derivative(arr))
 
     def _build_conjugate(self):
         return self.base
@@ -422,8 +425,7 @@ class NumericConjugate(Conjugate):
                     rel_tol=_CONJUGATE_REL_TOL, strict=strict)
         return out
 
-    def value(self, v):
-        arr = _as_array(v)
+    def _value(self, arr):
         flat = np.atleast_1d(arr).ravel()
         try:
             u = self._boundaries(flat, strict=False)
@@ -432,13 +434,12 @@ class NumericConjugate(Conjugate):
                 "conjugate undefined: the derivative never reaches "
                 f"{flat.max():g}; the base function is not an N-function at "
                 "infinity") from exc
-        out = u * flat - self.base.value(u)
-        return _like(out.reshape(np.shape(arr)), v)
+        out = u * flat - self.base._value(u)
+        return out.reshape(np.shape(arr))
 
-    def derivative(self, v):
-        arr = _as_array(v)
+    def _derivative(self, arr):
         out = self._boundaries(np.atleast_1d(arr).ravel(), strict=True)
-        return _like(out.reshape(np.shape(arr)), v)
+        return out.reshape(np.shape(arr))
 
 
 # -W_{-1}(-e^-m) for m >= 1, the root y >= 1 of y - log y = m (Corless et
@@ -498,16 +499,15 @@ class FlatZeroConjugate(Conjugate):
                 f"conjugate undefined: q({flat.max():g}) overflows")
         return u.reshape(np.shape(arr))
 
-    def derivative(self, v):
-        return _like(self._inverse(_as_array(v)), v)
+    def _derivative(self, arr):
+        return self._inverse(arr)
 
-    def value(self, v):
+    def _value(self, arr):
         """v q(v) - phi(q(v)), +inf where both terms overflow."""
-        arr = _as_array(v)
         u = self._inverse(arr)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = arr * u - self.base.value(u)
-        return _like(np.where(np.isnan(out), np.inf, out), v)
+        with np.errstate(invalid="ignore"):
+            out = arr * u - self.base._value(u)
+        return np.where(np.isnan(out), np.inf, out)
 
 
 class TabulatedConjugate(Conjugate):
@@ -531,14 +531,12 @@ class TabulatedConjugate(Conjugate):
                 "infinity")
         return j
 
-    def value(self, v):
-        arr = _as_array(v)
+    def _value(self, arr):
         j = self._knot(arr, strict=False)
-        return _like(arr * self.base._ts[j] - self.base._ys[j], v)
+        return arr * self.base._ts[j] - self.base._ys[j]
 
-    def derivative(self, v):
-        arr = _as_array(v)
-        return _like(self.base._ts[self._knot(arr, strict=True)], v)
+    def _derivative(self, arr):
+        return self.base._ts[self._knot(arr, strict=True)]
 
 
 def young_gap(phi, u, v):

@@ -124,6 +124,49 @@ def test_level_respects_weight_breakpoints():
     assert dec.support_end == pytest.approx(2.25)
 
 
+def test_level_interval_reads_as_before():
+    # a named tuple with the repr and hash of the frozen dataclass it
+    # replaced; its fields cannot be assigned
+    iv = olk.LevelInterval(0.0, 1.5, 2.0, 3.0, 1.5)
+    assert repr(iv) == ("LevelInterval(lower=0.0, upper=1.5, ratio=2.0, "
+                        "h_mass=3.0, w_mass=1.5)")
+    assert hash(iv) == hash((0.0, 1.5, 2.0, 3.0, 1.5))
+    assert iv == olk.LevelInterval(lower=0.0, upper=1.5, ratio=2.0,
+                                   h_mass=3.0, w_mass=1.5)
+    with pytest.raises(AttributeError):
+        iv.ratio = 1.0
+
+
+def _scan_level(dec, t):
+    """h0 at t by a scan over the intervals: [lower, upper) for functions,
+    (lower, upper] for sequences."""
+    for iv in dec.intervals:
+        inside = (iv.lower <= t < iv.upper if dec.setting == "function"
+                  else iv.lower < t <= iv.upper)
+        if inside:
+            return iv.ratio * dec.weight.value(t)
+    return 0.0
+
+
+def test_evaluate_level_at_every_edge():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        h = rand_step(rng, max_atoms=12).rearranged()
+        dec = olk.level_function(h, rand_step_weight(rng))
+        ends = [iv.lower for iv in dec.intervals] + [dec.support_end]
+        points = {0.0, dec.support_end + 1.0}
+        for end in ends:
+            points |= {end, math.nextafter(end, -math.inf),
+                       math.nextafter(end, math.inf)}
+        for t in sorted(p for p in points if p >= 0.0):
+            assert olk.evaluate_level(dec, t) == _scan_level(dec, t), t
+
+        h = rand_seq(rng, max_len=12).rearranged()
+        dec = olk.level_sequence(h, rand_seq_weight(rng))
+        for i in range(1, dec.support_end + 3):
+            assert olk.evaluate_level(dec, i) == _scan_level(dec, i), i
+
+
 def test_level_requires_canonical_input(lebesgue_weight):
     messy = olk.StepFunction(((1.0, 1.0), (2.0, 1.0)))
     with pytest.raises(DomainError):

@@ -95,15 +95,16 @@ def test_k_interval_anchor(quad_phi, lebesgue_weight):
 
 
 class _CountedPower(olk.PowerOrlicz):
-    """A PowerOrlicz recording the argument of each call of its Young side."""
+    """A PowerOrlicz recording the argument of each call of its Young
+    kernel, which the finite solves probe."""
 
     def __post_init__(self):
         super().__post_init__()
         self.calls = []
 
-    def young(self, u):
-        self.calls.append(np.asarray(u).tolist())
-        return super().young(u)
+    def _young(self, arr):
+        self.calls.append(arr.tolist())
+        return super()._young(arr)
 
 
 @pytest.mark.parametrize("exponent, scale, w, f, meets_one", [
@@ -124,7 +125,7 @@ def test_k_interval_strict_solve_reuses_the_first_solves_probes(
         counted = _CountedPower(exponent, scale)
 
         def log_young_side(k):
-            total = modular_at(counted.young, k)
+            total = modular_at(counted._young, k)
             return math.log(total) if total > 0.0 else -math.inf
         bracket = solvers.increasing_root(log_young_side, rel_tol=1e-13,
                                           strict=strict)
@@ -325,6 +326,68 @@ def test_norms_take_few_modular_evaluations(monkeypatch, norm, setting):
                 norm(phi.conjugate() if dual else phi, w, f, rel_tol=rel_tol)
                 worst = max(worst, evaluations[0])
     assert 0 < worst <= 16
+
+
+@pytest.mark.parametrize("setting", ["step", "sequence"])
+def test_finite_solves_validate_no_probe(monkeypatch, setting):
+    # the element is validated when it is built; the solves probe the bare
+    # Orlicz kernels, so no probe revalidates its argument
+    validations = [0]
+    real = olk.orlicz._as_array
+
+    def counting(u):
+        validations[0] += 1
+        return real(u)
+
+    monkeypatch.setattr(olk.orlicz, "_as_array", counting)
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        if setting == "step":
+            f, w = rand_step(rng, max_atoms=40), rand_step_weight(rng)
+        else:
+            f, w = rand_seq(rng, max_len=40), rand_seq_weight(rng)
+        for phi in FAMILIES:
+            conj = phi.conjugate()
+            for norm, on in ((olk.luxemburg_norm, phi),
+                             (olk.orlicz_norm_amemiya, phi),
+                             (olk.k_interval, phi),
+                             (olk.dual_luxemburg_norm, conj),
+                             (olk.dual_orlicz_norm, conj)):
+                validations[0] = 0
+                norm(on, w, f)
+                assert validations[0] == 0, (norm.__name__, on)
+
+
+class _PublicOnlyPower(olk.OrliczFunction):
+    """c t^r through the public methods alone, as a user might write it."""
+
+    def __init__(self, r, c):
+        self.r, self.c = r, c
+        self.growth = ((r, 0.0), (r, 0.0))
+
+    def value(self, u):
+        return self.c * np.asarray(u, dtype=float)**self.r
+
+    def derivative(self, u):
+        return self.c * self.r * np.asarray(u, dtype=float)**(self.r - 1.0)
+
+
+@pytest.mark.parametrize("setting", ["step", "sequence"])
+def test_a_subclass_with_only_public_methods_solves_as_the_catalog(setting):
+    # its kernels fall back to its public value and derivative, which
+    # compute what PowerOrlicz's kernels do, so every norm agrees exactly
+    rng = np.random.default_rng(29)
+    user, catalog = _PublicOnlyPower(2.5, 0.75), olk.PowerOrlicz(2.5, 0.75)
+    for _ in range(4):
+        if setting == "step":
+            f, w = rand_step(rng, max_atoms=20), rand_step_weight(rng)
+        else:
+            f, w = rand_seq(rng, max_len=20), rand_seq_weight(rng)
+        for norm in (olk.rho_modular, olk.luxemburg_norm,
+                     olk.orlicz_norm_amemiya, olk.k_interval,
+                     olk.P_modular, olk.dual_luxemburg_norm,
+                     olk.dual_orlicz_norm):
+            assert norm(user, w, f) == norm(catalog, w, f), norm.__name__
 
 
 @pytest.mark.parametrize("x", [1e-30, 1e30])

@@ -1,6 +1,7 @@
 """Young-pair behaviour of the convex gauge families."""
 
 import math
+import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -256,6 +257,61 @@ def test_power_rejects_bad_parameters():
 def test_value_rejects_negative_argument():
     with pytest.raises(DomainError):
         olk.PowerOrlicz(2.0, 0.5).value(-1.0)
+
+
+# ---------------------------------------------------------------------------
+# trusted kernels against the validating public methods
+
+_CATALOG = [olk.PowerOrlicz(2.5, 0.75), olk.ExpOrlicz(), olk.LogOrlicz(),
+            olk.FlatZeroOrlicz(0.35),
+            olk.TabulatedOrlicz(((0.0, 0.0), (1.0, 0.5), (3.0, 4.5)))]
+KERNEL_FAMILIES = _CATALOG + [phi.conjugate() for phi in _CATALOG]
+
+# 0, subnormals, the normal range and magnitudes up to 1e308
+_KERNEL_ARGS = st.lists(
+    st.one_of(st.sampled_from([0.0, 5e-324, 1e-310, 2.2250738585072014e-308,
+                               1e-300, 1.0, 1e300, 1e308]),
+              st.floats(min_value=0.0, max_value=1e308)),
+    min_size=1, max_size=8)
+
+
+def _outcome(fn, arr):
+    """The bytes of fn(arr), or the name of the error it raised."""
+    try:
+        out = np.asarray(fn(arr))
+    except ConvergenceError:
+        return "ConvergenceError"
+    assert out.dtype == np.float64 and out.shape == arr.shape
+    assert not np.isnan(out).any()
+    return out.tobytes()
+
+
+@pytest.mark.parametrize("phi", KERNEL_FAMILIES,
+                         ids=lambda phi: type(phi).__name__)
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(entries=_KERNEL_ARGS)
+def test_kernels_equal_the_public_methods_bit_for_bit(phi, entries):
+    # the kernels run under the errstate the public methods and the finite
+    # solves give them; overflow is a quiet +inf, never NaN or a warning
+    arr = np.array(entries)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for public, kernel in ((phi.value, phi._value),
+                               (phi.derivative, phi._derivative),
+                               (phi.young, phi._young)):
+            expected = _outcome(public, arr)
+            with np.errstate(over="ignore"):
+                assert _outcome(kernel, arr) == expected
+
+
+@pytest.mark.parametrize("phi", KERNEL_FAMILIES,
+                         ids=lambda phi: type(phi).__name__)
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_public_methods_reject_what_the_kernels_trust(phi, bad):
+    for method in (phi.value, phi.derivative, phi.young):
+        for arg in (bad, np.array([1.0, bad])):
+            with pytest.raises(DomainError):
+                method(arg)
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,35 @@ def test_step_rearranged_matches_the_tuple_reference(seed, n, distinct,
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 200),
+       tied=st.booleans())
+def test_step_rearranged_orders_atoms_as_a_stable_argsort(seed, n, tied):
+    # tie-free input skips the tie-order sort and the merge; both kinds
+    # must give the atoms of a stable argsort, ties added left to right
+    rng = np.random.default_rng(seed)
+    if tied:
+        values = _tied_values(rng, n, 3)
+    else:
+        values = (rng.permutation(np.arange(1.0, n + 1.0))
+                  * rng.choice([-1.0, 1.0], n) * 2.0**rng.integers(-60, 61))
+    measures = rng.uniform(0.5, 1.0, n)
+    r = olk.StepFunction(tuple(zip(values.tolist(),
+                                   measures.tolist()))).rearranged()
+    mags = np.abs(values)
+    order = np.argsort(-mags, kind="stable")
+    merged = []
+    for k in order[mags[order] > 0.0].tolist():
+        if merged and merged[-1][0] == mags[k]:
+            merged[-1][1] += measures[k]
+        else:
+            merged.append([mags[k], measures[k]])
+    assert r._values.tolist() == [v for v, _ in merged]
+    assert r._measures.tolist() == [m for _, m in merged]
+    if not tied:
+        assert r._values.size == n
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
 @given(**_SHAPES)
 def test_sequence_rearranged_matches_the_tuple_reference(seed, n, distinct):
     entries = _tied_values(np.random.default_rng(seed), n, distinct).tolist()
