@@ -23,15 +23,12 @@ data with exactly representable products compares exactly.  The sweep is
 one Python loop; it returns the blocks as four array columns (first piece,
 end piece, h mass, weight mass), which the dual norms and the Young witness
 read through `_level_blocks` without building a LevelInterval per block.
-`evaluate_level` finds a point's interval by bisection over the upper ends.
 
 The sequence variant replaces integrals by sums over index blocks (a, b] =
 {a + 1, ..., b}.
 """
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -63,10 +60,6 @@ class LevelDecomposition:
 
     def value(self, t):
         return evaluate_level(self, t)
-
-    @cached_property
-    def _uppers(self):
-        return [block.upper for block in self.intervals]
 
 
 def _merge_blocks(h_masses, w_masses):
@@ -134,21 +127,19 @@ def level_sequence(h, w):
 
 
 def evaluate_level(dec, t):
-    """h0 at a point of the domain; zero beyond the support.  The
-    intervals are found by bisection over their upper ends: a function
-    interval holds [lower, upper), a sequence interval (lower, upper]."""
+    """h0 at a point of the domain; zero beyond the support."""
     if dec.setting == "function":
         gamma = dec.weight.gamma
         if not (0.0 <= t < gamma):
             raise DomainError("argument outside [0, gamma)")
-        j = bisect_right(dec._uppers, t)
-        if j < len(dec.intervals) and dec.intervals[j].lower <= t:
-            return dec.intervals[j].ratio * dec.weight.value(t)
+        for block in dec.intervals:
+            if block.lower <= t < block.upper:
+                return block.ratio * dec.weight.value(t)
         return 0.0
     index = int(t)
     if index != t or index < 1:
         raise DomainError("sequence positions are integers >= 1")
-    j = bisect_left(dec._uppers, index)
-    if j < len(dec.intervals) and dec.intervals[j].lower < index:
-        return dec.intervals[j].ratio * dec.weight.value(index)
+    for block in dec.intervals:
+        if block.lower < index <= block.upper:
+            return block.ratio * dec.weight.value(index)
     return 0.0

@@ -31,8 +31,10 @@ or numpy arrays of finite nonnegative numbers and give back the same kind.
 Each runs a trusted array kernel, _value, _derivative or _young, under
 np.errstate(over="ignore"); the kernels check nothing, and the solves on
 finite elements call them at every probe under the same errstate.  A
-subclass that overrides only the public value and derivative gets kernels
-that call them.  Instances are immutable; the conjugate is cached.
+subclass that overrides a public method but not its kernel gets a kernel
+that calls the override, so the finite solves and the profile quadrature,
+which calls the public methods, run the same function.  Instances are
+immutable; the conjugate is cached.
 
 `growth` and `young_growth` give the types of phi and of u p(u) - phi(u)
 at 0 and at infinity: (r, b) is u^r l^b with l = log(1/u) at 0 and log u
@@ -148,11 +150,31 @@ def _young_type(kind, at_zero):
     return kind
 
 
+def _calling(name):
+    """A kernel that runs the public method name."""
+    def kernel(self, arr):
+        return getattr(self, name)(arr)
+    return kernel
+
+
 class OrliczFunction:
     """Common surface: value, right derivative, conjugate, growth types."""
 
     is_n_function = True
     growth = (None, None)   # unknown at both ends
+
+    def __init_subclass__(cls, **kwargs):
+        # an override of a public method without its kernel gets a kernel
+        # that calls it; the public methods run the nearest kernel a class
+        # defined itself (_value_impl, ...), so super() does not recurse
+        super().__init_subclass__(**kwargs)
+        own = vars(cls)
+        for name in ("value", "derivative", "young"):
+            kernel = "_" + name
+            if kernel in own:
+                setattr(cls, kernel + "_impl", own[kernel])
+            elif name in own:
+                setattr(cls, kernel, _calling(name))
 
     @property
     def young_growth(self):
@@ -162,14 +184,14 @@ class OrliczFunction:
     def value(self, u):
         arr = _as_array(u)
         with np.errstate(over="ignore"):
-            out = self._value(arr)
+            out = self._value_impl(arr)
         return _like(out, u)
 
     def derivative(self, u):
         """Right derivative; nondecreasing and right-continuous."""
         arr = _as_array(u)
         with np.errstate(over="ignore"):
-            out = self._derivative(arr)
+            out = self._derivative_impl(arr)
         return _like(out, u)
 
     def young(self, u):
@@ -177,24 +199,22 @@ class OrliczFunction:
         nondecreasing, and +inf where either term overflows."""
         arr = _as_array(u)
         with np.errstate(over="ignore"):
-            out = self._young(arr)
+            out = self._young_impl(arr)
         return _like(out, u)
 
     def _value(self, arr):
-        if type(self).value is OrliczFunction.value:
-            raise NotImplementedError
-        return self.value(arr)
+        raise NotImplementedError
 
     def _derivative(self, arr):
-        if type(self).derivative is OrliczFunction.derivative:
-            raise NotImplementedError
-        return self.derivative(arr)
+        raise NotImplementedError
 
     def _young(self, arr):
         # inf - inf, where both terms overflow, is +inf
         with np.errstate(invalid="ignore"):
             out = arr * self._derivative(arr) - self._value(arr)
         return np.where(np.isnan(out), np.inf, out)
+
+    _value_impl, _derivative_impl, _young_impl = _value, _derivative, _young
 
     def conjugate(self):
         """The convex conjugate as another OrliczFunction."""

@@ -175,15 +175,11 @@ class StepFunction(_FrozenElement):
         order = nonzero[np.argsort(-mags[nonzero])]
         values = mags[order]
         new = np.concatenate(([True], values[1:] != values[:-1]))[:values.size]
-        if new.all():
-            # no ties: nothing to order inside a run, nothing to merge
-            measures = self._measures[order]
-        else:
-            # the order of a stable sort: input order inside each run of
-            # equal values (NumPy's stable argsort costs about 5x more here)
-            order = np.sort(np.cumsum(new) * mags.size + order) % mags.size
-            values, measures = _merge_ties(values, self._measures[order],
-                                           np.flatnonzero(new))
+        # the order of a stable sort: input order inside each run of equal
+        # values (NumPy's stable argsort costs about 5x more here)
+        order = np.sort(np.cumsum(new) * mags.size + order) % mags.size
+        values, measures = _merge_ties(values, self._measures[order],
+                                       np.flatnonzero(new))
         return _hold(object.__new__(StepFunction), _values=values,
                      _measures=measures, gamma=self.gamma)
 

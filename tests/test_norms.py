@@ -95,16 +95,15 @@ def test_k_interval_anchor(quad_phi, lebesgue_weight):
 
 
 class _CountedPower(olk.PowerOrlicz):
-    """A PowerOrlicz recording the argument of each call of its Young
-    kernel, which the finite solves probe."""
+    """A PowerOrlicz recording the argument of each call of its Young side."""
 
     def __post_init__(self):
         super().__post_init__()
         self.calls = []
 
-    def _young(self, arr):
-        self.calls.append(arr.tolist())
-        return super()._young(arr)
+    def young(self, u):
+        self.calls.append(np.asarray(u).tolist())
+        return super().young(u)
 
 
 @pytest.mark.parametrize("exponent, scale, w, f, meets_one", [
@@ -125,7 +124,7 @@ def test_k_interval_strict_solve_reuses_the_first_solves_probes(
         counted = _CountedPower(exponent, scale)
 
         def log_young_side(k):
-            total = modular_at(counted._young, k)
+            total = modular_at(counted.young, k)
             return math.log(total) if total > 0.0 else -math.inf
         bracket = solvers.increasing_root(log_young_side, rel_tol=1e-13,
                                           strict=strict)
@@ -388,6 +387,43 @@ def test_a_subclass_with_only_public_methods_solves_as_the_catalog(setting):
                      olk.P_modular, olk.dual_luxemburg_norm,
                      olk.dual_orlicz_norm):
             assert norm(user, w, f) == norm(catalog, w, f), norm.__name__
+
+
+class _DoubledPower(olk.PowerOrlicz):
+    """Twice PowerOrlicz, by an override of the public value alone."""
+
+    def value(self, u):
+        return 2.0 * super().value(u)
+
+
+def test_a_catalog_subclass_overriding_value_runs_it_on_every_path():
+    # the finite solves probe the kernel _value, profile quadrature the
+    # public value; both must run the override, whose values are exactly
+    # those of PowerOrlicz(2.5, 1.5)
+    user, same = _DoubledPower(2.5, 0.75), olk.PowerOrlicz(2.5, 1.5)
+    w = olk.StepWeight(((1.0, 2.0), (math.inf, 1.0)))
+    hw = olk.HarmonicSeqWeight()
+    for weight, f in ((w, olk.StepFunction(((2.0, 1.0), (1.0, 2.0)))),
+                      (hw, olk.FiniteSequence((3.0, -1.25, 0.5))),
+                      (w, olk.BandRestriction(olk.PowerTailProfile(1.0, 1.0),
+                                              0.25, 2.0)),
+                      (hw, olk.PowerSeqTail(1.0, 1.0))):
+        for norm in (olk.rho_modular, olk.luxemburg_norm):
+            assert norm(user, weight, f) == norm(same, weight, f), \
+                (norm.__name__, f)
+
+
+class _SuperOnly(olk.OrliczFunction):
+    def value(self, u):
+        return super().value(u)
+
+
+def test_an_override_that_calls_the_base_method_is_not_implemented():
+    phi, w = _SuperOnly(), olk.HarmonicSeqWeight()
+    with pytest.raises(NotImplementedError):
+        phi.value(1.0)
+    with pytest.raises(NotImplementedError):
+        olk.rho_modular(phi, w, olk.FiniteSequence((1.0,)))
 
 
 @pytest.mark.parametrize("x", [1e-30, 1e30])
