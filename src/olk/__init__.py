@@ -19,12 +19,13 @@ _EXPORTS = {
         "FlatZeroOrlicz", "TabulatedOrlicz", "NumericConjugate", "young_gap",
         "delta2_classify"),
     "rearrange": (
-        "StepFunction", "FiniteSequence", "LogTailProfile",
-        "PowerTailProfile", "BandRestriction", "BandComplement",
-        "PowerSeqTail", "LogSeqTail", "ShiftedSeqTail", "StepWeight",
-        "PowerWeight", "ConstantSeqWeight", "HarmonicSeqWeight",
-        "PowerSeqWeight", "ExplicitSeqWeight", "distribution",
-        "equimeasurable", "disjoint_sum", "element_setting"),
+        "StepFunction", "FiniteSequence", "distribution", "equimeasurable",
+        "disjoint_sum", "element_setting"),
+    "profiles": (
+        "LogTailProfile", "PowerTailProfile", "BandRestriction",
+        "BandComplement", "PowerSeqTail", "LogSeqTail", "ShiftedSeqTail",
+        "StepWeight", "PowerWeight", "ConstantSeqWeight",
+        "HarmonicSeqWeight", "PowerSeqWeight", "ExplicitSeqWeight"),
     "level": (
         "LevelInterval", "LevelDecomposition", "level_function",
         "level_sequence", "evaluate_level"),

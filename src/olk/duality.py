@@ -53,8 +53,9 @@ from .errors import (ConvergenceError, DomainError, InfeasibleParameterError,
                      NotInSpaceError)
 from .norms import (_check_oracle_size, _finite_modular, _unit_scalings,
                     luxemburg_norm, orlicz_norm_amemiya, rho_modular)
-from .rearrange import (FiniteSequence, SequenceWeight, StepFunction,
-                        StepWeight, _split, _step_cuts, finite_layout)
+from .profiles import SequenceWeight, StepWeight
+from .rearrange import (FiniteSequence, StepFunction, _split, _step_cuts,
+                        finite_layout)
 
 __all__ = [
     "YoungWitness", "FunctionalNormReport", "P_modular", "P_modular_oracle",

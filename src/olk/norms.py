@@ -52,12 +52,12 @@ from . import solvers
 from .errors import (ConvergenceError, DomainError, NotInSpaceError,
                      UndecidedError)
 from .orlicz import TabulatedOrlicz
-from .rearrange import (
+from .profiles import (
     BandComplement, BandRestriction, ConstantSeqWeight, DecreasingProfile,
-    DecreasingSeqProfile, ExplicitSeqWeight, FiniteSequence,
-    HarmonicSeqWeight, LogSeqTail, LogTailProfile, PowerSeqTail,
-    PowerSeqWeight, PowerTailProfile, PowerWeight, SequenceWeight,
-    ShiftedSeqTail, StepFunction, StepWeight, Weight, finite_layout)
+    DecreasingSeqProfile, ExplicitSeqWeight, HarmonicSeqWeight, LogSeqTail,
+    LogTailProfile, PowerSeqTail, PowerSeqWeight, PowerTailProfile,
+    PowerWeight, SequenceWeight, ShiftedSeqTail, StepWeight, Weight)
+from .rearrange import FiniteSequence, StepFunction, finite_layout
 
 __all__ = [
     "KInterval", "rho_modular", "luxemburg_norm", "orlicz_norm_amemiya",

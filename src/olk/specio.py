@@ -20,12 +20,12 @@ from dataclasses import dataclass
 from .errors import ValidationError
 from .orlicz import (Conjugate, ExpOrlicz, FlatZeroOrlicz, LogOrlicz,
                      OrliczFunction, PowerOrlicz, TabulatedOrlicz)
-from .rearrange import (BandComplement, BandRestriction, ConstantSeqWeight,
-                        ExplicitSeqWeight, FiniteSequence, HarmonicSeqWeight,
-                        LogSeqTail, LogTailProfile, PowerSeqTail,
-                        PowerSeqWeight, PowerTailProfile, SequenceWeight,
-                        ShiftedSeqTail, StepFunction, StepWeight, Weight,
-                        PowerWeight)
+from .profiles import (BandComplement, BandRestriction, ConstantSeqWeight,
+                       ExplicitSeqWeight, HarmonicSeqWeight, LogSeqTail,
+                       LogTailProfile, PowerSeqTail, PowerSeqWeight,
+                       PowerTailProfile, PowerWeight, SequenceWeight,
+                       ShiftedSeqTail, StepWeight, Weight)
+from .rearrange import FiniteSequence, StepFunction
 
 __all__ = ["SpaceSpec", "SCHEMA", "parse_space", "parse_element",
            "serialize_space", "serialize_element", "serialize_orlicz",

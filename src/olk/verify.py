@@ -30,10 +30,10 @@ from .norms import (amemiya_pairing_report, k_interval, luxemburg_norm,
                     rho_modular, theta)
 from .orlicz import (ExpOrlicz, FlatZeroOrlicz, LogOrlicz, NumericConjugate,
                      PowerOrlicz, TabulatedOrlicz, young_gap)
-from .rearrange import (ConstantSeqWeight, ExplicitSeqWeight, FiniteSequence,
-                        HarmonicSeqWeight, PowerSeqWeight, StepFunction,
-                        StepWeight, disjoint_sum, distribution,
-                        equimeasurable)
+from .profiles import (ConstantSeqWeight, ExplicitSeqWeight,
+                       HarmonicSeqWeight, PowerSeqWeight, StepWeight)
+from .rearrange import (FiniteSequence, StepFunction, disjoint_sum,
+                        distribution, equimeasurable)
 
 __all__ = ["verify_suite", "CASES"]
 

@@ -16,7 +16,8 @@ import olk
 from olk import solvers
 from olk.errors import DomainError, NotInSpaceError, UndecidedError
 from olk.norms import _unit_scalings
-from olk.rearrange import DecreasingProfile, finite_layout
+from olk.profiles import DecreasingProfile
+from olk.rearrange import finite_layout
 
 from conftest import (dyadic, rand_phi, rand_seq, rand_seq_weight, rand_step,
                       rand_step_weight)

@@ -63,7 +63,7 @@ def test_weight_round_trip(w):
     data = specio.serialize_weight(w)
     back = specio.parse_weight(json.loads(specio.dumps(data)))
     assert type(back) is type(w)
-    if isinstance(w, olk.rearrange.Weight):
+    if isinstance(w, olk.profiles.Weight):
         for t in (0.5, 1.5):
             assert back.value(t) == pytest.approx(w.value(t), rel=1e-12)
     else:
@@ -81,7 +81,7 @@ def test_element_round_trip(f):
         assert back.atoms == f.atoms
     elif isinstance(f, olk.FiniteSequence):
         assert back.entries == f.entries
-    elif isinstance(f, olk.rearrange.DecreasingProfile):
+    elif isinstance(f, olk.profiles.DecreasingProfile):
         for t in (0.3, 1.0, 5.0):
             assert back.value(t) == pytest.approx(f.value(t), rel=1e-12)
     else:
