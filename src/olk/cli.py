@@ -243,9 +243,6 @@ def run_command(argv):
         payload, code = args.handler(args)
         _emit(payload, args.format, args.out)
         return code
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except OlkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -102,8 +102,7 @@ def _decomposition(layout, blocks, h, w):
                           edges[ends].tolist(),
                           (h_masses / w_masses).tolist(), h_masses.tolist(),
                           w_masses.tolist()))
-    setting = "function" if isinstance(h, StepFunction) else "sequence"
-    return LevelDecomposition(intervals, setting, edges[-1].item(), h, w)
+    return LevelDecomposition(intervals, h.setting, edges[-1].item(), h, w)
 
 
 def _level(h, w, kind):

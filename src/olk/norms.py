@@ -33,10 +33,10 @@ _finite_modular's errstate, with no revalidation.
 Parametric profiles are integrated by adaptive quadrature, through the
 public scalar-safe phi.value and phi.young, after a log substitution, once
 `_threshold` has found the integral convergent from the growth types of
-psi, the weight and f* at each end; the same rule gives
-theta(f) = inf{lam : modular(f / lam) < inf} in closed form.  Their norms
-are solved on f / s, with s a representative value of f, as finite norms
-are on the layout divided by its largest value.
+psi, the weight (its `beta`) and f* at each end (its `ends`); the same
+rule gives theta(f) = inf{lam : modular(f / lam) < inf} in closed form.
+Their norms are solved on f / s, with s a representative value of f, as
+finite norms are on the layout divided by its largest value.
 
 SciPy is imported inside the quadrature and the dual-sup oracle only, so
 work on finite elements loads NumPy alone.
@@ -52,12 +52,9 @@ from . import solvers
 from .errors import (ConvergenceError, DomainError, NotInSpaceError,
                      UndecidedError)
 from .orlicz import TabulatedOrlicz
-from .profiles import (
-    BandComplement, BandRestriction, ConstantSeqWeight, DecreasingProfile,
-    DecreasingSeqProfile, ExplicitSeqWeight, HarmonicSeqWeight, LogSeqTail,
-    LogTailProfile, PowerSeqTail, PowerSeqWeight, PowerTailProfile,
-    PowerWeight, SequenceWeight, ShiftedSeqTail, StepWeight, Weight)
-from .rearrange import FiniteSequence, StepFunction, finite_layout
+from .profiles import BandComplement, BandRestriction, ShiftedSeqTail
+from .rearrange import (FiniteSequence, StepFunction, _check_weight,
+                        element_setting, finite_layout)
 
 __all__ = [
     "KInterval", "rho_modular", "luxemburg_norm", "orlicz_norm_amemiya",
@@ -100,39 +97,6 @@ def _finite_modular(psi, values, masses):
 # ---------------------------------------------------------------------------
 # quadrature for parametric profiles
 
-def _ends(f):
-    """The head (t -> 0) and the tail (t or i -> inf) of f*, each a pair
-    (shape, amplitude a): "log" is a log(1/t), "inv_log" is a / log i, a
-    float p is a t^-p, and "bounded" and "finite" mark a bounded head and
-    a finite support."""
-    f = getattr(f, "source", f)   # the rearranged view of a band wrapper
-    if isinstance(f, (StepFunction, FiniteSequence, BandRestriction)):
-        return ("bounded", 0.0), ("finite", 0.0)
-    if isinstance(f, (BandComplement, ShiftedSeqTail)):
-        return _ends(f.base)
-    if isinstance(f, LogTailProfile):
-        return ("log", f.amplitude), (1.0, f.amplitude)
-    if isinstance(f, PowerTailProfile):
-        end = (float(f.exponent), f.amplitude)
-        return end, end
-    if isinstance(f, PowerSeqTail):
-        return ("bounded", 0.0), (float(f.exponent), f.amplitude)
-    if isinstance(f, LogSeqTail):
-        return ("bounded", 0.0), ("inv_log", f.amplitude)
-    raise UndecidedError(f"no growth type for {type(f).__name__}")
-
-
-def _beta(weight):
-    """The exponent beta of a weight that is t^-beta at 0 and at infinity."""
-    if isinstance(weight, (PowerWeight, PowerSeqWeight)):
-        return weight.beta
-    if isinstance(weight, HarmonicSeqWeight):
-        return 1.0
-    if isinstance(weight, (StepWeight, ConstantSeqWeight, ExplicitSeqWeight)):
-        return 0.0
-    raise UndecidedError(f"no growth type for {type(weight).__name__}")
-
-
 def _power_law(excess, b):
     """0 when t^-(1 + excess) log(t)^b is integrable at infinity, else inf."""
     return 0.0 if excess > 0.0 or (excess == 0.0 and b < -1.0) else math.inf
@@ -174,20 +138,19 @@ def _threshold(growth, weight, f):
     """inf{lam > 0 : the modular of f / lam under psi converges}, with
     growth the types of psi at 0 and at infinity: 0 when it converges at
     every scaling, inf when at none.  Critical cases diverge; a pairing
-    outside these rules raises UndecidedError."""
-    (head, a_head), (tail, a_tail) = _ends(f)
-    beta = _beta(weight)
+    outside these rules or without f.ends or weight.beta is undecided."""
+    try:
+        (head, a_head), (tail, a_tail) = f.ends
+        beta = weight.beta
+    except AttributeError as exc:
+        raise UndecidedError(f"no growth type: {exc}") from None
     at_zero, at_infinity = growth
     return max(_head_threshold(head, a_head, at_infinity, beta),
                _tail_threshold(tail, a_tail, at_zero, beta))
 
 
-def _profile_modular(psi, growth, w, profile):
+def _profile_modular(psi, w, profile):
     from scipy import integrate
-    if w.gamma != math.inf and profile.support_measure > w.gamma:
-        raise DomainError("profile support exceeds the weight domain")
-    if _threshold(growth, w, profile) >= 1.0:
-        return math.inf
 
     def integrand(x):
         if x > 700.0:
@@ -202,11 +165,9 @@ def _profile_modular(psi, growth, w, profile):
 
     supp = profile.support_measure
     top = math.inf if math.isinf(supp) else math.log(supp)
-    inner = getattr(profile, "source", profile)
-    kink = getattr(inner, "_head", 0.0)
-    features = sorted({0.0}
-                      | {math.log(b) for b in w.breakpoints() if b > 0.0}
-                      | ({math.log(kink)} if kink > 0.0 else set()))
+    features = sorted({0.0} | {math.log(b) for b in (*w.breakpoints(),
+                                                      *profile.breakpoints())
+                               if b > 0.0})
     bounds = [-math.inf] + [x for x in features if x < top] + [top]
     total = 0.0
     for lo, hi in zip(bounds, bounds[1:]):
@@ -216,10 +177,8 @@ def _profile_modular(psi, growth, w, profile):
     return total
 
 
-def _seq_profile_modular(psi, growth, w, profile):
+def _seq_profile_modular(psi, w, profile):
     from scipy import integrate
-    if _threshold(growth, w, profile) >= 1.0:
-        return math.inf
     idx = np.arange(1, _SEQ_HEAD + 1)
     with np.errstate(over="ignore"):
         terms = psi(profile.value(idx)) * w.head(_SEQ_HEAD)
@@ -231,8 +190,7 @@ def _seq_profile_modular(psi, growth, w, profile):
         if y > 700.0:
             return 0.0
         x = math.exp(y)
-        return float(psi(float(profile.value(x)))
-                     * w.value_at_real(x) * x)
+        return float(psi(float(profile.value(x))) * w.value(x) * x)
 
     tail, _ = integrate.quad(term, math.log(_SEQ_HEAD + 0.5), math.inf,
                              epsabs=1e-12, epsrel=1e-9, limit=200)
@@ -243,9 +201,13 @@ def _seq_profile_modular(psi, growth, w, profile):
 # public modular and norms
 
 def _finite_layout(weight, f):
-    """The FiniteLayout of f*; None for a parametric profile."""
+    """The FiniteLayout of f*, None for a parametric profile; DomainError
+    when f does not fit the weight's setting or domain."""
     if isinstance(f, (StepFunction, FiniteSequence)):
         return finite_layout(f.rearranged(), weight)
+    _check_weight(element_setting(f), weight)
+    if f.setting == "function" and f.support_measure > weight.gamma:
+        raise DomainError("profile support exceeds the weight domain")
     return None
 
 
@@ -261,17 +223,13 @@ def rho_modular(phi, weight, f):
 
 
 def _parametric_modular(psi, growth, weight, f):
-    """The modular of a parametric profile f under psi, of the growth
-    types growth, through the public scalar-safe psi."""
-    if isinstance(f, DecreasingProfile):
-        if not isinstance(weight, Weight):
-            raise DomainError("function elements need a function weight")
-        return _profile_modular(psi, growth, weight, f)
-    if isinstance(f, DecreasingSeqProfile):
-        if not isinstance(weight, SequenceWeight):
-            raise DomainError("sequence elements need a sequence weight")
-        return _seq_profile_modular(psi, growth, weight, f)
-    raise DomainError(f"unknown element type: {type(f).__name__}")
+    """The modular of a parametric profile f, checked by `_finite_layout`,
+    under psi of the growth types growth, public and scalar-safe."""
+    if _threshold(growth, weight, f) >= 1.0:
+        return math.inf
+    if f.setting == "function":
+        return _profile_modular(psi, weight, f)
+    return _seq_profile_modular(psi, weight, f)
 
 
 def _unit_scalings(values, masses):
@@ -293,7 +251,7 @@ def _unit_scalings(values, masses):
 def _profile_scale(f):
     """A representative value of a profile: f*(t0) at t0 = 1, or at half
     the support when that is shorter; the first entry of a sequence."""
-    if isinstance(f, DecreasingSeqProfile):
+    if f.setting == "sequence":
         return float(f.value(1.0))
     return float(f.rearranged_value(min(1.0, 0.5 * f.support_measure)))
 
@@ -581,14 +539,12 @@ def truncate(f, n):
         return _step_band(f, n, True)
     if isinstance(f, FiniteSequence):
         return FiniteSequence(f._array[:n])
-    if isinstance(f, DecreasingProfile):
+    if element_setting(f) == "function":
         if n == 1:
             return StepFunction((), math.inf)
         return BandRestriction(f, 1.0 / n, float(n))
-    if isinstance(f, DecreasingSeqProfile):
-        idx = np.arange(1, n + 1)
-        return FiniteSequence(tuple(float(x) for x in f.value(idx)))
-    raise DomainError(f"unknown element type: {type(f).__name__}")
+    idx = np.arange(1, n + 1)
+    return FiniteSequence(tuple(float(x) for x in f.value(idx)))
 
 
 def truncation_remainder(f, n):
@@ -598,13 +554,11 @@ def truncation_remainder(f, n):
         return _step_band(f, n, False)
     if isinstance(f, FiniteSequence):
         return FiniteSequence(np.concatenate((np.zeros(n), f._array[n:])))
-    if isinstance(f, DecreasingProfile):
+    if element_setting(f) == "function":
         if n == 1:
             return f
         return BandComplement(f, 1.0 / n, float(n))
-    if isinstance(f, DecreasingSeqProfile):
-        return ShiftedSeqTail(f, n)
-    raise DomainError(f"unknown element type: {type(f).__name__}")
+    return ShiftedSeqTail(f, n)
 
 
 def theta(phi, weight, f):
@@ -613,7 +567,9 @@ def theta(phi, weight, f):
     Read from the growth types by `_threshold`: a / (1 - beta) for a head
     a log(1/t) under ExpOrlicz, a (1 - beta) for a tail a / log i under
     FlatZeroOrlicz, else 0, or NotInSpaceError when no scaling converges.
+    f is first checked against the weight as `rho_modular` checks it.
     """
+    _finite_layout(weight, f)
     value = _threshold(phi.growth, weight, f)
     if math.isinf(value):
         raise NotInSpaceError("the modular diverges at every scaling")

@@ -1,9 +1,16 @@
 """Parametric decreasing profiles, sequence tails and weights.
 
-Function-setting profiles live on (0, inf) with closed-form distribution
-functions; sequence tails are indexed from 1.  Weights are strictly
-positive and nonincreasing with divergent total mass; constructors reject
-anything else.
+Weights are strictly positive and nonincreasing.  A sequence weight's sums
+diverge; a function weight may stop at a finite gamma, as
+StepWeight(((1, 2), (3, 1))) does at gamma = 4, with W(gamma) = 5.
+
+Each class gives its `setting`, "function" or "sequence"; a weight its
+`beta`, for t^-beta at 0 and at infinity; a profile or tail the kinks of f*
+by `breakpoints()` and its `ends`, the head (t -> 0) and the tail (t or
+i -> inf) of f*, each a pair (shape, amplitude a): "log" is a log(1/t),
+"inv_log" is a / log i, a float p is a t^-p, and "bounded" and "finite"
+mark a bounded head and a finite support.  The base classes leave `ends`
+and `beta` unset: a class outside the catalog has no growth type.
 """
 
 import math
@@ -13,20 +20,22 @@ import numpy as np
 
 from .errors import DomainError, ValidationError
 
-__all__ = [
-    "DecreasingProfile", "LogTailProfile", "PowerTailProfile",
-    "BandRestriction", "BandComplement",
-    "DecreasingSeqProfile", "PowerSeqTail", "LogSeqTail", "ShiftedSeqTail",
-    "Weight", "StepWeight", "PowerWeight",
-    "SequenceWeight", "ConstantSeqWeight", "HarmonicSeqWeight",
-    "PowerSeqWeight", "ExplicitSeqWeight",
-]
+
+def _check_positive(profile, *names):
+    """ValidationError at the first named field not positive and finite."""
+    for name in names:
+        x = getattr(profile, name)
+        if not (x > 0.0 and math.isfinite(x)):
+            raise ValidationError(f"{name} must be positive", field=name)
+
 
 # ---------------------------------------------------------------------------
 # parametric function-setting profiles, all strictly decreasing on (0, inf)
 
 class DecreasingProfile:
     """Decreasing nonnegative function on (0, inf) with closed-form layers."""
+
+    setting = "function"
 
     def value(self, t):
         raise NotImplementedError
@@ -48,6 +57,10 @@ class DecreasingProfile:
     def rearranged(self):
         return self
 
+    def breakpoints(self):
+        """Interior kinks of f*, as a tuple."""
+        return ()
+
 
 @dataclass(frozen=True)
 class LogTailProfile(DecreasingProfile):
@@ -56,9 +69,7 @@ class LogTailProfile(DecreasingProfile):
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not (self.amplitude > 0.0 and math.isfinite(self.amplitude)):
-            raise ValidationError("amplitude must be positive",
-                                  field="amplitude")
+        _check_positive(self, "amplitude")
 
     def value(self, t):
         # t = 0 or a subnormal t overflows 1/t to inf, and log1p(inf) = inf
@@ -73,6 +84,10 @@ class LogTailProfile(DecreasingProfile):
         x = lam / self.amplitude
         return math.exp(-x) / -math.expm1(-x)
 
+    @property
+    def ends(self):
+        return ("log", self.amplitude), (1.0, self.amplitude)
+
     def scaled(self, c):
         return LogTailProfile(self.amplitude * c)
 
@@ -85,12 +100,7 @@ class PowerTailProfile(DecreasingProfile):
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not (self.exponent > 0.0 and math.isfinite(self.exponent)):
-            raise ValidationError("exponent must be positive",
-                                  field="exponent")
-        if not (self.amplitude > 0.0 and math.isfinite(self.amplitude)):
-            raise ValidationError("amplitude must be positive",
-                                  field="amplitude")
+        _check_positive(self, "exponent", "amplitude")
 
     def value(self, t):
         return self.amplitude * np.asarray(t, dtype=float)**(-self.exponent)
@@ -100,35 +110,51 @@ class PowerTailProfile(DecreasingProfile):
             raise DomainError("level must be positive")
         return (self.amplitude / lam)**(1.0 / self.exponent)
 
+    @property
+    def ends(self):
+        end = (float(self.exponent), self.amplitude)
+        return end, end
+
     def scaled(self, c):
         return PowerTailProfile(self.exponent, self.amplitude * c)
 
 
-def _band_edges(base, lower_value, upper_value):
-    if not 0.0 < lower_value < upper_value:
-        raise ValidationError("band needs 0 < lower < upper", field="band")
-    head = base.level_measure(upper_value)
-    head_plus_band = base.level_measure(lower_value)
-    return head, head_plus_band
-
-
 @dataclass(frozen=True)
-class BandRestriction(DecreasingProfile):
-    """The part of a profile with values inside [lower_value, upper_value].
-
-    Bounded with finite-measure support; this is the order-continuous piece
-    a value-band truncation keeps.
-    """
+class _Band(DecreasingProfile):
+    """The value band [lower_value, upper_value] of a profile, on [_head,
+    _outer); f* has its kink at _head."""
 
     base: DecreasingProfile
     lower_value: float
     upper_value: float
 
     def __post_init__(self):
-        head, outer = _band_edges(self.base, self.lower_value,
-                                  self.upper_value)
-        object.__setattr__(self, "_head", head)
-        object.__setattr__(self, "_outer", outer)
+        if not 0.0 < self.lower_value < self.upper_value:
+            raise ValidationError("band needs 0 < lower < upper", field="band")
+        object.__setattr__(self, "_head",
+                           self.base.level_measure(self.upper_value))
+        object.__setattr__(self, "_outer",
+                           self.base.level_measure(self.lower_value))
+
+    def breakpoints(self):
+        return (self._head,)
+
+    def scaled(self, c):
+        return type(self)(self.base.scaled(c), c * self.lower_value,
+                          c * self.upper_value)
+
+    def rearranged(self):
+        return _SlidProfile(self)
+
+
+class BandRestriction(_Band):
+    """The part of a profile with values inside [lower_value, upper_value].
+
+    Bounded with finite-measure support; this is the order-continuous piece
+    a value-band truncation keeps.
+    """
+
+    ends = ("bounded", 0.0), ("finite", 0.0)
 
     @property
     def support_measure(self):
@@ -155,28 +181,14 @@ class BandRestriction(DecreasingProfile):
             return self.support_measure
         return self.base.level_measure(lam) - self._head
 
-    def scaled(self, c):
-        return BandRestriction(self.base.scaled(c), c * self.lower_value,
-                               c * self.upper_value)
 
-    def rearranged(self):
-        return _SlidProfile(self)
-
-
-@dataclass(frozen=True)
-class BandComplement(DecreasingProfile):
+class BandComplement(_Band):
     """A profile with one value band removed: the head above upper_value plus
     the tail below lower_value."""
 
-    base: DecreasingProfile
-    lower_value: float
-    upper_value: float
-
-    def __post_init__(self):
-        head, outer = _band_edges(self.base, self.lower_value,
-                                  self.upper_value)
-        object.__setattr__(self, "_head", head)
-        object.__setattr__(self, "_outer", outer)
+    @property
+    def ends(self):
+        return self.base.ends
 
     def value(self, t):
         arr = np.asarray(t, dtype=float)
@@ -199,13 +211,6 @@ class BandComplement(DecreasingProfile):
             return self.base.level_measure(lam) - (self._outer - self._head)
         return self._head
 
-    def scaled(self, c):
-        return BandComplement(self.base.scaled(c), c * self.lower_value,
-                              c * self.upper_value)
-
-    def rearranged(self):
-        return _SlidProfile(self)
-
 
 @dataclass(frozen=True)
 class _SlidProfile(DecreasingProfile):
@@ -213,10 +218,14 @@ class _SlidProfile(DecreasingProfile):
 
     source: DecreasingProfile
 
-    def value(self, t):
-        return self.source.rearranged_value(t)
+    @property
+    def ends(self):
+        return self.source.ends
 
-    def rearranged_value(self, t):
+    def breakpoints(self):
+        return self.source.breakpoints()
+
+    def value(self, t):
         return self.source.rearranged_value(t)
 
     def level_measure(self, lam):
@@ -236,6 +245,8 @@ class _SlidProfile(DecreasingProfile):
 class DecreasingSeqProfile:
     """Decreasing positive tail indexed from 1; value accepts real arguments
     so asymptotic probes can evaluate between integers."""
+
+    setting = "sequence"
 
     def value(self, i):
         raise NotImplementedError
@@ -266,12 +277,7 @@ class PowerSeqTail(DecreasingSeqProfile):
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not (self.exponent > 0.0 and math.isfinite(self.exponent)):
-            raise ValidationError("exponent must be positive",
-                                  field="exponent")
-        if not (self.amplitude > 0.0 and math.isfinite(self.amplitude)):
-            raise ValidationError("amplitude must be positive",
-                                  field="amplitude")
+        _check_positive(self, "exponent", "amplitude")
 
     def value(self, i):
         return self.amplitude * np.asarray(i, dtype=float)**(-self.exponent)
@@ -280,6 +286,10 @@ class PowerSeqTail(DecreasingSeqProfile):
         if lam <= 0.0:
             raise DomainError("level must be positive")
         return _count_below((self.amplitude / lam)**(1.0 / self.exponent))
+
+    @property
+    def ends(self):
+        return ("bounded", 0.0), (float(self.exponent), self.amplitude)
 
     def scaled(self, c):
         return PowerSeqTail(self.exponent, self.amplitude * c)
@@ -292,9 +302,7 @@ class LogSeqTail(DecreasingSeqProfile):
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not (self.amplitude > 0.0 and math.isfinite(self.amplitude)):
-            raise ValidationError("amplitude must be positive",
-                                  field="amplitude")
+        _check_positive(self, "amplitude")
 
     def value(self, i):
         return self.amplitude / np.log1p(np.asarray(i, dtype=float))
@@ -303,6 +311,10 @@ class LogSeqTail(DecreasingSeqProfile):
         if lam <= 0.0:
             raise DomainError("level must be positive")
         return _count_below(math.expm1(self.amplitude / lam))
+
+    @property
+    def ends(self):
+        return ("bounded", 0.0), ("inv_log", self.amplitude)
 
     def scaled(self, c):
         return LogSeqTail(self.amplitude * c)
@@ -320,6 +332,10 @@ class ShiftedSeqTail(DecreasingSeqProfile):
             raise ValidationError("offset must be a nonnegative integer",
                                   field="offset")
 
+    @property
+    def ends(self):
+        return self.base.ends
+
     def value(self, i):
         return self.base.value(np.asarray(i, dtype=float) + self.offset)
 
@@ -334,8 +350,9 @@ class ShiftedSeqTail(DecreasingSeqProfile):
 # weights, function setting
 
 class Weight:
-    """Strictly positive nonincreasing weight on [0, gamma); W(inf) = inf."""
+    """Strictly positive nonincreasing weight on [0, gamma)."""
 
+    setting = "function"
     gamma = math.inf
 
     def value(self, t):
@@ -361,6 +378,7 @@ class StepWeight(Weight):
     """
 
     pieces: tuple
+    beta = 0.0
 
     def __post_init__(self):
         if not self.pieces:
@@ -467,6 +485,8 @@ class PowerWeight(Weight):
 class SequenceWeight:
     """Strictly positive nonincreasing sequence weight with divergent sums."""
 
+    setting = "sequence"
+
     def value(self, i):
         raise NotImplementedError
 
@@ -481,14 +501,11 @@ class SequenceWeight:
             return 0.0
         return float(self.head(int(n)).sum())
 
-    def value_at_real(self, x):
-        """Continuous extension used by asymptotic probes."""
-        return self.value(x)
-
 
 @dataclass(frozen=True)
 class ConstantSeqWeight(SequenceWeight):
     level: float = 1.0
+    beta = 0.0
 
     def __post_init__(self):
         if not (self.level > 0.0 and math.isfinite(self.level)):
@@ -508,6 +525,8 @@ class ConstantSeqWeight(SequenceWeight):
 
 @dataclass(frozen=True)
 class HarmonicSeqWeight(SequenceWeight):
+    beta = 1.0
+
     def value(self, i):
         arr = np.asarray(i, dtype=float)
         out = 1.0 / arr
@@ -535,6 +554,7 @@ class ExplicitSeqWeight(SequenceWeight):
     """Explicit head values continued by a constant tail at the last value."""
 
     head_values: tuple
+    beta = 0.0
 
     def __post_init__(self):
         cleaned = tuple(float(x) for x in self.head_values)

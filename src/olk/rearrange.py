@@ -15,8 +15,6 @@ from itertools import chain
 import numpy as np
 
 from .errors import DomainError, UndecidedError, ValidationError
-from .profiles import (DecreasingProfile, DecreasingSeqProfile,
-                       SequenceWeight, Weight)
 
 __all__ = [
     "StepFunction", "FiniteSequence",
@@ -120,6 +118,9 @@ class StepFunction(_FrozenElement):
     are dropped.
     """
 
+    setting = "function"
+    ends = ("bounded", 0.0), ("finite", 0.0)
+
     def __init__(self, atoms=(), gamma=math.inf):
         self._check_and_hold(*_atom_arrays(atoms), gamma)
 
@@ -191,6 +192,9 @@ class StepFunction(_FrozenElement):
 class FiniteSequence(_FrozenElement):
     """Finitely supported sequence; position i holds entries[i - 1]."""
 
+    setting = "sequence"
+    ends = ("bounded", 0.0), ("finite", 0.0)
+
     def __init__(self, entries=()):
         self._check_and_hold(np.fromiter(entries, float))
 
@@ -239,12 +243,18 @@ class FiniteSequence(_FrozenElement):
 # operations
 
 def element_setting(f):
-    """"function" or "sequence", by element type."""
-    if isinstance(f, (StepFunction, DecreasingProfile)):
-        return "function"
-    if isinstance(f, (FiniteSequence, DecreasingSeqProfile)):
-        return "sequence"
-    raise DomainError(f"unknown element type: {type(f).__name__}")
+    """"function" or "sequence", as the element's `setting` reads."""
+    try:
+        return f.setting
+    except AttributeError:
+        raise DomainError(
+            f"unknown element type: {type(f).__name__}") from None
+
+
+def _check_weight(setting, w):
+    """DomainError unless the weight w belongs to the setting."""
+    if w.setting != setting:
+        raise DomainError(f"{setting} elements need a {setting} weight")
 
 
 def distribution(f, lam):
@@ -255,11 +265,9 @@ def distribution(f, lam):
         return sum(f._measures[np.abs(f._values) > lam].tolist())
     if isinstance(f, FiniteSequence):
         return int(np.count_nonzero(np.abs(f._array) > lam))
-    if isinstance(f, DecreasingProfile):
+    if element_setting(f) == "function":
         return f.level_measure(lam)
-    if isinstance(f, DecreasingSeqProfile):
-        return f.level_count(lam)
-    raise DomainError(f"unknown element type: {type(f).__name__}")
+    return f.level_count(lam)
 
 
 def equimeasurable(f, g, *, tol=1e-9):
@@ -347,8 +355,7 @@ def finite_layout(h, w):
     StepFunction constructor allows against its own gamma.
     """
     if isinstance(h, StepFunction):
-        if not isinstance(w, Weight):
-            raise DomainError("function elements need a function weight")
+        _check_weight("function", w)
         values, cuts = _step_cuts(h)
         if cuts[-1] > w.gamma * (1.0 + 1e-12):
             raise DomainError("element support exceeds the weight domain")
@@ -357,8 +364,7 @@ def finite_layout(h, w):
         return FiniteLayout(values[atom], np.diff(edges),
                             np.diff(cumulative), edges, cumulative)
     if isinstance(h, FiniteSequence):
-        if not isinstance(w, SequenceWeight):
-            raise DomainError("sequence elements need a sequence weight")
+        _check_weight("sequence", w)
         values = h._array
         n = values.size
         w_masses = w.head(n)

@@ -64,6 +64,44 @@ def test_modular_divergence_detected():
     assert math.isinf(olk.rho_modular(phi, w, fat))
 
 
+# rho_modular values frozen as float.hex when the band head was still read
+# off the wrapper's private field: the quadrature splits its range at the
+# weight's breakpoints and at the kinks breakpoints() reports, here the band
+# head, so equal bits mean equal pieces
+TWO_BREAKPOINTS = olk.StepWeight(((0.5, 3.0), (1.5, 2.0), (math.inf, 1.0)))
+BAND_MODULARS = [
+    (olk.BandRestriction(olk.PowerTailProfile(0.75, 0.8), 0.25, 2.0),
+     "0x1.97023785c54e6p+0"),
+    (olk.BandComplement(olk.PowerTailProfile(0.75, 0.8), 0.25, 2.0),
+     "0x1.5a77bb9f1b249p+4"),
+    (olk.BandRestriction(olk.LogTailProfile(0.7), 0.25, 2.0),
+     "0x1.f9e29a61a070cp-1"),
+    (olk.BandComplement(olk.LogTailProfile(0.7), 0.25, 2.0),
+     "0x1.0d1830ff34915p-1"),
+]
+
+
+@pytest.mark.parametrize("view", ["wrapper", "rearranged"])
+@pytest.mark.parametrize("f, frozen", BAND_MODULARS, ids=[
+    "restrict-power", "complement-power", "restrict-log", "complement-log"])
+def test_band_modular_quadrature_pieces_are_frozen(f, frozen, view):
+    g = f.rearranged() if view == "rearranged" else f
+    assert olk.rho_modular(olk.LogOrlicz(), TWO_BREAKPOINTS, g) \
+        == float.fromhex(frozen)
+
+
+@pytest.mark.parametrize("phi, f, frozen", [
+    (olk.FlatZeroOrlicz(), olk.ShiftedSeqTail(olk.LogSeqTail(1.5), 3),
+     "0x1.5c1f05c3bd151p+2"),
+    (olk.PowerOrlicz(2.0, 0.5),
+     olk.ShiftedSeqTail(olk.PowerSeqTail(0.8, 1.2), 3),
+     "0x1.e651195b05207p-3"),
+], ids=["log-tail", "power-tail"])
+def test_shifted_tail_modular_is_frozen(phi, f, frozen):
+    assert olk.rho_modular(phi, olk.PowerSeqWeight(0.5), f) \
+        == float.fromhex(frozen)
+
+
 def test_modular_of_zero_is_zero(quad_phi, lebesgue_weight):
     assert olk.rho_modular(quad_phi, lebesgue_weight,
                            olk.StepFunction(())) == 0.0
@@ -648,6 +686,40 @@ class _Unlisted(DecreasingProfile):
 def test_profile_outside_the_catalog_is_undecided(fn):
     with pytest.raises(UndecidedError):
         fn(olk.PowerOrlicz(2.0, 0.5), LEBESGUE, _Unlisted())
+
+
+class _UnlistedWeight(olk.profiles.Weight):
+    """1 / (1 + t): a weight with no growth type."""
+
+    def value(self, t):
+        return 1.0 / (1.0 + np.asarray(t, dtype=float))
+
+    def cumulative(self, t):
+        return np.log1p(np.asarray(t, dtype=float))
+
+
+@pytest.mark.parametrize("fn", [olk.rho_modular, olk.luxemburg_norm,
+                                olk.orlicz_norm_amemiya, olk.theta])
+def test_weight_outside_the_catalog_is_undecided(fn):
+    with pytest.raises(UndecidedError):
+        fn(olk.PowerOrlicz(2.0, 0.5), _UnlistedWeight(), olk.LogTailProfile())
+
+
+@pytest.mark.parametrize("f, w", [
+    (olk.LogTailProfile(1.0), olk.HarmonicSeqWeight()),
+    (olk.LogSeqTail(1.0), olk.StepWeight(((1.0, 2.0), (math.inf, 1.0)))),
+    (olk.StepFunction(((1.0, 1.0),)), olk.HarmonicSeqWeight()),
+    # gamma = 4 is shorter than the profile's infinite support
+    (olk.LogTailProfile(1.0), olk.StepWeight(((1.0, 2.0), (3.0, 1.0)))),
+], ids=["profile-sequence-weight", "tail-function-weight",
+        "step-sequence-weight", "profile-longer-than-gamma"])
+def test_theta_checks_the_weight_as_the_modular_does(f, w):
+    phi = olk.ExpOrlicz()
+    with pytest.raises(DomainError) as modular:
+        olk.rho_modular(phi, w, f)
+    with pytest.raises(DomainError) as threshold:
+        olk.theta(phi, w, f)
+    assert str(threshold.value) == str(modular.value)
 
 
 def test_theta_below_gauge_norm(lebesgue_weight):
