@@ -23,8 +23,8 @@ from .orlicz import (Conjugate, ExpOrlicz, FlatZeroOrlicz, LogOrlicz,
 from .profiles import (BandComplement, BandRestriction, ConstantSeqWeight,
                        ExplicitSeqWeight, HarmonicSeqWeight, LogSeqTail,
                        LogTailProfile, PowerSeqTail, PowerSeqWeight,
-                       PowerTailProfile, PowerWeight, SequenceWeight,
-                       ShiftedSeqTail, StepWeight, Weight)
+                       PowerTailProfile, PowerWeight, ShiftedSeqTail,
+                       StepWeight)
 from .rearrange import FiniteSequence, StepFunction
 
 __all__ = ["SpaceSpec", "SCHEMA", "parse_space", "parse_element",

@@ -64,10 +64,9 @@ def test_modular_divergence_detected():
     assert math.isinf(olk.rho_modular(phi, w, fat))
 
 
-# rho_modular values frozen as float.hex when the band head was still read
-# off the wrapper's private field: the quadrature splits its range at the
-# weight's breakpoints and at the kinks breakpoints() reports, here the band
-# head, so equal bits mean equal pieces
+# rho_modular values frozen as float.hex: the quadrature splits its range at
+# the weight's breakpoints and at the kinks breakpoints() reports, here the
+# band head, so equal bits pin those pieces
 TWO_BREAKPOINTS = olk.StepWeight(((0.5, 3.0), (1.5, 2.0), (math.inf, 1.0)))
 BAND_MODULARS = [
     (olk.BandRestriction(olk.PowerTailProfile(0.75, 0.8), 0.25, 2.0),
