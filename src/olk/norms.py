@@ -30,16 +30,23 @@ element was built and the scalings stay finite, so each probe calls the
 Orlicz function's bare kernel (phi._value, phi._young) under
 _finite_modular's errstate, with no revalidation.
 
-Parametric profiles are integrated by adaptive quadrature, through the
-public scalar-safe phi.value and phi.young, after a log substitution, once
-`_threshold` has found the integral convergent from the growth types of
-psi, the weight (its `beta`) and f* at each end (its `ends`); the same
-rule gives theta(f) = inf{lam : modular(f / lam) < inf} in closed form.
-Their norms are solved on f / s, with s a representative value of f, as
-finite norms are on the layout divided by its largest value.
+A parametric profile is laid out the same way, once per solve, on fixed
+double-exponential nodes in x = log t (y = log i for a sequence past an
+exact head): the log of f* and of the weight mass at each node, never
+forming e^x, so the modular of c f is sum exp(log phi(c r_k) + l_k) through
+the Orlicz function's log kernels, with no cut at either end.  It is +inf
+exactly where c theta(f) >= 1, with theta(f) = inf{lam : modular(f / lam)
+< inf} read in closed form by `_threshold` from the growth types of phi,
+the weight (its `beta`) and f* at each end (its `ends`).  Where the nodes
+cannot vouch for a sum, at a final bracket end of a solve (the two levels
+of the step disagree, the outermost terms are not negligible, or a kink of
+phi lies past the exact head of a sequence), the norm raises
+UndecidedError rather than return it.  Profile norms are solved on f / s,
+with s a representative value of f, as finite norms are on the layout
+divided by its largest value.
 
-SciPy is imported inside the quadrature and the dual-sup oracle only, so
-work on finite elements loads NumPy alone.
+SciPy is imported inside the two SLSQP oracles only, so every modular and
+norm loads NumPy alone.
 """
 
 import math
@@ -61,8 +68,6 @@ __all__ = [
     "k_interval", "orlicz_norm_dual_sup_oracle", "truncate",
     "truncation_remainder", "theta", "amemiya_pairing_report",
 ]
-
-_SEQ_HEAD = 200_000
 
 # The two SLSQP oracles solve dense programs whose cost grows about as the
 # cube of the layout's piece count.  On tie-free inputs with phi(t) = t^2/2
@@ -95,7 +100,7 @@ def _finite_modular(psi, values, masses):
 
 
 # ---------------------------------------------------------------------------
-# quadrature for parametric profiles
+# parametric profiles: the finiteness threshold and the DE layout
 
 def _power_law(excess, b):
     """0 when t^-(1 + excess) log(t)^b is integrable at infinity, else inf."""
@@ -149,52 +154,210 @@ def _threshold(growth, weight, f):
                _tail_threshold(tail, a_tail, at_zero, beta))
 
 
-def _profile_modular(psi, w, profile):
-    from scipy import integrate
-
-    def integrand(x):
-        if x > 700.0:
-            return 0.0
-        t = math.exp(x)
-        if t == 0.0:
-            return 0.0
-        r = float(profile.rearranged_value(t))
-        if not math.isfinite(r):
-            return 0.0
-        return float(psi(r)) * w.value(t) * t
-
-    supp = profile.support_measure
-    top = math.inf if math.isinf(supp) else math.log(supp)
-    features = sorted({0.0} | {math.log(b) for b in (*w.breakpoints(),
-                                                      *profile.breakpoints())
-                               if b > 0.0})
-    bounds = [-math.inf] + [x for x in features if x < top] + [top]
-    total = 0.0
-    for lo, hi in zip(bounds, bounds[1:]):
-        piece, _ = integrate.quad(integrand, lo, hi, epsabs=1e-11,
-                                  epsrel=1e-9, limit=400)
-        total += piece
-    return total
+# The nodes of a profile are its layout, as the pieces of a finite element
+# are: double-exponential (DE) trapezoid nodes in x = log t (Takahasi & Mori,
+# Publ. RIMS 9, 1974; Mori & Sugihara, J. Comput. Appl. Math. 127, 2001),
+# tanh-sinh on each finite piece and exp-sinh on each half-line.  The step
+# in s is _DE_STEP; the nodes of every other step are the level of twice
+# that step, against which each solve checks its result.  A half-line
+# reaches e^(pi/2 sinh 6) ~ e^317 from its end, for the algebraic decay in
+# y = log i of a tail such as a / log i, and _REACH_TOL bounds the term of
+# its outermost node.
+_DE_STEP = 1.0 / 64.0
+_HALF_LINE_S = np.arange(-288, 385) * _DE_STEP      # s in [-4.5, 6]
+_PIECE_S = np.arange(-224, 225) * _DE_STEP          # s in [-3.5, 3.5]
+_DE_TOL = 1e-10
+_REACH_TOL = 1e-13
+# a sequence is summed exactly over its first _SEQ_EXACT indices, or up to
+# where its weight turns smooth or past a kink of psi below _SEQ_KINK_CAP;
+# the rest is an exp-sinh integral in y = log i plus Gregory's end terms
+# through the fourth difference (error ~ g^(5) / 60, here below 1e-14 of
+# the tail)
+_SEQ_EXACT = 256
+_SEQ_KINK_CAP = 2**16
+_GREGORY = np.array([965.0, -462.0, 336.0, -146.0, 27.0]) / 1440.0
 
 
-def _seq_profile_modular(psi, w, profile):
-    from scipy import integrate
-    idx = np.arange(1, _SEQ_HEAD + 1)
-    with np.errstate(over="ignore"):
-        terms = psi(profile.value(idx)) * w.head(_SEQ_HEAD)
-    head = float(np.sum(terms))
-    if not math.isfinite(head):
-        return math.inf
+def _de_block(s, x, log_jacobian, reaching):
+    """(x, log weight, weight at twice the step, outermost-node mask) of
+    one DE block on the grid s, whose first point lies on the grid of twice
+    the step; the mask marks the last node of a block reaching to infinity."""
+    coarse = np.where(np.arange(s.size) % 2 == 0, 2.0, 0.0)
+    outer = np.zeros(s.size, dtype=bool)
+    outer[-1] = reaching
+    return x, math.log(_DE_STEP) + log_jacobian, coarse, outer
 
-    def term(y):
-        if y > 700.0:
-            return 0.0
-        x = math.exp(y)
-        return float(psi(float(profile.value(x))) * w.value(x) * x)
 
-    tail, _ = integrate.quad(term, math.log(_SEQ_HEAD + 0.5), math.inf,
-                             epsabs=1e-12, epsrel=1e-9, limit=200)
-    return head + tail
+def _half_line(x0, side):
+    """exp-sinh nodes x0 + side exp(pi/2 sinh s)."""
+    s = _HALF_LINE_S
+    e = 0.5 * math.pi * np.sinh(s)
+    return _de_block(s, x0 + side * np.exp(e),
+                     np.log(0.5 * math.pi * np.cosh(s)) + e, True)
+
+
+def _finite_piece(a, b):
+    """tanh-sinh nodes on [a, b]."""
+    s = _PIECE_S
+    u = 0.5 * math.pi * np.sinh(s)
+    half = 0.5 * (b - a)
+    log_cosh_u = np.abs(u) + np.log1p(np.exp(-2.0 * np.abs(u))) - math.log(2)
+    return _de_block(s, 0.5 * (a + b) + half * np.tanh(u),
+                     math.log(0.5 * math.pi * half) + np.log(np.cosh(s))
+                     - 2.0 * log_cosh_u, False)
+
+
+def _line_blocks(bounds, top):
+    """DE blocks over (-inf, top], split at the sorted bounds below top."""
+    if not bounds:
+        return [_half_line(top, -1.0)]
+    blocks = [_half_line(bounds[0], -1.0)]
+    blocks += [_finite_piece(a, b) for a, b in zip(bounds, bounds[1:])]
+    if math.isinf(top):
+        return blocks + [_half_line(bounds[-1], 1.0)]
+    return blocks + [_finite_piece(bounds[-1], top)]
+
+
+@dataclass(frozen=True)
+class _Nodes:
+    """log f* and log weight mass at each node, with the node's sign (the
+    Gregory end terms of a sequence are signed), its weight at the level of
+    twice the step, the outermost node of each half-line, and whether every
+    kink of psi is split; sum sign exp(log psi(c r) + log_mass) is the
+    modular of c f."""
+
+    log_r: np.ndarray
+    log_mass: np.ndarray
+    sign: np.ndarray
+    coarse: np.ndarray
+    outer: np.ndarray
+    split: bool = True
+
+
+def _join(blocks, log_r, log_mass_of):
+    x, log_w, coarse, outer = (np.concatenate(a) for a in zip(*blocks))
+    return x, log_r(x), log_w + log_mass_of(x), coarse, outer
+
+
+def _function_nodes(weight, f, cuts):
+    supp = f.support_measure
+    top = math.log(supp) if supp < math.inf else math.inf
+    features = {0.0, *cuts, *f._log_kinks(),
+                *(math.log(b) for b in weight.breakpoints() if b > 0.0)}
+    bounds = sorted(x for x in features if -math.inf < x < top)
+    _, log_r, log_mass, coarse, outer = _join(
+        _line_blocks(bounds, top), f._log_star, weight._log_mass)
+    return _Nodes(log_r, log_mass, np.ones_like(log_r), coarse, outer)
+
+
+def _sequence_nodes(weight, f, head, split):
+    """Exact terms i < head, Gregory's end terms at head .. head + 4 and the
+    exp-sinh integral over [head, inf) in y = log i."""
+    idx = np.arange(1.0, head + 5.0)
+    mu = np.ones(idx.size)
+    mu[head - 1:] = _GREGORY
+    with np.errstate(divide="ignore"):
+        head_r = np.log(f.value(idx))
+        head_mass = np.log(weight.head(idx.size) * np.abs(mu))
+    _, tail_r, tail_mass, coarse, outer = _join(
+        [_half_line(math.log(head), 1.0)], f._log_star, weight._log_mass)
+    sign = np.sign(mu)
+    return _Nodes(np.concatenate((head_r, tail_r)),
+                  np.concatenate((head_mass, tail_mass)),
+                  np.concatenate((sign, np.ones_like(tail_r))),
+                  np.concatenate((sign, coarse)),
+                  np.concatenate((np.zeros(idx.size, dtype=bool), outer)),
+                  split)
+
+
+class _ProfileLayout:
+    """The DE nodes of a parametric profile f against a weight, for the
+    modulars of c f / scale, with scale a representative value of f.
+
+    For a smooth phi the nodes are built once.  Where phi or its Young side
+    has kinks (`phi._kinks`), the pieces are split where c f* / scale
+    crosses each: at its level measure for a function, and for a sequence
+    by summing exactly up to that index, so those nodes depend on c.
+    """
+
+    def __init__(self, phi, weight, f):
+        self.phi, self.weight, self.f = phi, weight, f
+        self.scale = _profile_scale(f)
+        self.log_scale = math.log(self.scale)
+        self._fixed = None
+
+    def nodes(self, log_c):
+        """The nodes for the multiple e^log_c of f / scale."""
+        if self._fixed is not None:
+            return self._fixed
+        levels = [k * self.scale * math.exp(-log_c) for k in self.phi._kinks]
+        weight, f = self.weight, self.f
+        if f.setting == "function":
+            nodes = _function_nodes(weight, f,
+                                    [f._log_level(lam) for lam in levels])
+        else:
+            head, split = max(_SEQ_EXACT, weight._smooth_from), True
+            for lam in levels:
+                if f.value(float(_SEQ_KINK_CAP)) > lam:
+                    split = False
+                else:
+                    head = max(head, f.level_count(lam) + 1)
+            nodes = _sequence_nodes(weight, f, head, split)
+        if not levels:
+            self._fixed = nodes
+        return nodes
+
+
+class _ProfileModular:
+    """c -> the modular of c f / scale under the log kernel log_psi of
+    growth types growth, on a _ProfileLayout; +inf exactly where
+    c theta(f / scale) >= 1, with theta from `_threshold`, read once.
+
+    Each probe keeps its sum at both levels and its outermost terms, so
+    `check` can confirm the ends of a solve's final bracket."""
+
+    def __init__(self, layout, log_psi, growth):
+        self.layout, self.log_psi, self.growth = layout, log_psi, growth
+        self.seen = {}
+        self._theta = None
+
+    def __call__(self, c):
+        layout = self.layout
+        if self._theta is None:
+            self._theta = _threshold(self.growth, layout.weight,
+                                     layout.f) / layout.scale
+        if c * self._theta >= 1.0:
+            return math.inf
+        log_c = math.log(c)
+        nodes = layout.nodes(log_c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = np.exp(self.log_psi(nodes.log_r + (log_c
+                                                       - layout.log_scale))
+                           + nodes.log_mass)
+            fine = float(terms @ nodes.sign)
+            coarse = float(terms @ nodes.coarse)
+        reach = float(np.max(terms[nodes.outer], initial=0.0))
+        self.seen[c] = (fine, coarse, reach, nodes.split)
+        return fine if fine < math.inf else math.inf
+
+    def check(self, c, side=0.0):
+        """UndecidedError unless the nodes resolved the modular at c, and at
+        the nearest probe beyond c on side (+1 above, -1 below), if any: the
+        two levels agree to _DE_TOL, the outermost terms are below
+        _REACH_TOL of the sum and every kink of psi was split."""
+        beyond = [p for p in self.seen if (p - c) * side > 0.0]
+        for p in [c] + ([min(beyond, key=lambda p: abs(p - c))]
+                        if beyond else []):
+            if p * self._theta >= 1.0:
+                continue
+            fine, coarse, reach, split = self.seen[p]
+            if not (split and abs(fine - coarse) <= _DE_TOL * fine
+                    and reach <= _REACH_TOL * fine):
+                raise UndecidedError(
+                    f"the DE nodes do not resolve the profile modular: "
+                    f"{fine!r} at step {_DE_STEP}, {coarse!r} at twice "
+                    f"it, outermost term {reach!r}"
+                    + ("" if split else ", a kink of phi not split"))
 
 
 # ---------------------------------------------------------------------------
@@ -219,17 +382,16 @@ def rho_modular(phi, weight, f):
     layout = _finite_layout(weight, f)
     if layout is not None:
         return _finite_modular(phi._value, layout.values, layout.w_masses)
-    return _parametric_modular(phi.value, phi.growth, weight, f)
+    return _profile_modular_at_one(_ProfileLayout(phi, weight, f),
+                                   phi._log_value, phi.growth)
 
 
-def _parametric_modular(psi, growth, weight, f):
-    """The modular of a parametric profile f, checked by `_finite_layout`,
-    under psi of the growth types growth, public and scalar-safe."""
-    if _threshold(growth, weight, f) >= 1.0:
-        return math.inf
-    if f.setting == "function":
-        return _profile_modular(psi, weight, f)
-    return _seq_profile_modular(psi, weight, f)
+def _profile_modular_at_one(layout, log_psi, growth):
+    """The checked modular of the profile itself under log_psi."""
+    modular = _ProfileModular(layout, log_psi, growth)
+    value = modular(layout.scale)
+    modular.check(layout.scale)
+    return value
 
 
 def _unit_scalings(values, masses):
@@ -262,19 +424,17 @@ def _scalings(phi, weight, f, layout):
     0 for the zero element; layout is _finite_layout(weight, f).
 
     A finite element is laid out once and probed through the kernels
-    phi._value and phi._young.  A profile is rebuilt by f.scaled(c / scale)
-    at each step, with scale a representative value of f, so its solves
-    too start near the answer at any magnitude; its quadrature calls the
-    public, scalar-safe phi.value and phi.young.
+    phi._value and phi._young.  A profile is laid out once on its DE nodes,
+    with scale a representative value of f, so its solves too start near
+    the answer at any magnitude, and probed through the log kernels
+    phi._log_value and phi._log_young; each is a _ProfileModular, whose
+    final bracket the norms confirm by its `check`.
     """
     if layout is None:
-        scale = _profile_scale(f)
-
-        def at(psi, growth):
-            return lambda c: _parametric_modular(psi, growth, weight,
-                                                 f.scaled(c / scale))
-        return (at(phi.value, phi.growth),
-                at(phi.young, phi.young_growth), scale)
+        nodes = _ProfileLayout(phi, weight, f)
+        return (_ProfileModular(nodes, phi._log_value, phi.growth),
+                _ProfileModular(nodes, phi._log_young, phi.young_growth),
+                nodes.scale)
     finite_at, scale = _unit_scalings(layout.values, layout.w_masses)
     value, young = phi._value, phi._young
     return (lambda c: finite_at(value, c), lambda c: finite_at(young, c),
@@ -283,16 +443,21 @@ def _scalings(phi, weight, f, layout):
 
 def luxemburg_norm(phi, weight, f, *, rel_tol=1e-10):
     """Gauge norm inf{eps : modular(f / eps) <= 1}."""
-    value_at, _, scale = _scalings(phi, weight, f, _finite_layout(weight, f))
+    layout = _finite_layout(weight, f)
+    value_at, _, scale = _scalings(phi, weight, f, layout)
     if scale == 0.0:
         return 0.0
     try:
-        return scale * solvers.gauge_norm(value_at, rel_tol=rel_tol)
+        eps = solvers.gauge_norm(value_at, rel_tol=rel_tol)
     except UndecidedError:
         raise
     except ConvergenceError as exc:
         raise NotInSpaceError(
             "no tested scaling has modular <= 1") from exc
+    if layout is None and eps > 0.0:
+        # the modular is <= 1 at c = 1 / eps and > 1 at the next probe above
+        value_at.check(1.0 / eps, 1.0)
+    return scale * eps
 
 
 def orlicz_norm_amemiya(phi, weight, f, *, rel_tol=1e-10):
@@ -323,10 +488,16 @@ def orlicz_norm_amemiya(phi, weight, f, *, rel_tol=1e-10):
             raise
         slope = float(phi.derivative(phi.knots[-1][0]))
         # the identity grows as phi does here, as (1, 0) at both ends
-        return scale * slope * _parametric_modular(
-            lambda t: t, phi.growth, weight, f.scaled(1.0 / scale))
+        return slope * _profile_modular_at_one(
+            value_at.layout, lambda log_u: log_u, phi.growth)
     if math.isinf(value):
         raise NotInSpaceError("no tested scaling has a finite modular")
+    if layout is None:
+        # the objective was read at the root's satisfying end k, and maybe
+        # at the end below it; the Young side is >= 1 at k, < 1 below
+        for k in value_at.seen:
+            value_at.check(k)
+        young_at.check(max(value_at.seen), -1.0)
     return scale * value
 
 

@@ -30,11 +30,19 @@ The public value, derivative and young validate their argument, take scalars
 or numpy arrays of finite nonnegative numbers and give back the same kind.
 Each runs a trusted array kernel, _value, _derivative or _young, under
 np.errstate(over="ignore"); the kernels check nothing, and the solves on
-finite elements call them at every probe under the same errstate.  A
-subclass that overrides a public method but not its kernel gets a kernel
-that calls the override, so the finite solves and the profile quadrature,
-which calls the public methods, run the same function.  Instances are
-immutable; the conjugate is cached.
+finite elements call them at every probe under the same errstate.  The
+profile layouts call the log kernels _log_value and _log_young, log phi(u)
+and log young(u) taken at log u, whose values span more than a float
+holds: each is computed from its kernel where that gives a normal float,
+and past that, for the catalog families, from the family's leading form,
+exact to rounding there.  A subclass that overrides a public method but
+not its kernel gets a kernel that calls the override, and the log kernels
+call the kernels, so every solve runs the same function; past the float
+range a subclass of a catalog family keeps its family's leading form.
+Instances are immutable; the conjugate is cached.
+
+`_kinks` lists the arguments where phi or its Young side is not smooth: the
+inner knots of a TabulatedOrlicz and the cutoff of a FlatZeroOrlicz.
 
 `growth` and `young_growth` give the types of phi and of u p(u) - phi(u)
 at 0 and at infinity: (r, b) is u^r l^b with l = log(1/u) at 0 and log u
@@ -85,6 +93,12 @@ def _like(arr, template):
 _SERIES_BELOW = 1.0
 _EXP_SERIES = tuple(1.0 / math.factorial(k) for k in range(2, 20))
 _LOG_TAIL = _EXP_SERIES[1:16]
+
+
+def _half_square(log_u):
+    """log(u^2 / 2), the leading term of exp(u) - 1 - u, (1 + u) log(1 + u)
+    - u and both their Young sides at 0."""
+    return 2.0 * log_u - math.log(2.0)
 
 
 def _series(u, coeffs):
@@ -150,6 +164,26 @@ def _young_type(kind, at_zero):
     return kind
 
 
+_LOG_TINY = math.log(np.finfo(float).tiny)
+
+
+def _log_kernel(kernel, log_u, small=None, large=None):
+    """log kernel(u) at u = e^log_u, for an array log_u: directly where the
+    kernel's value is a normal float, else small(log_u) where it is below
+    (underflows) and large(log_u) where it overflows; +inf at u = +inf
+    when large is not given."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        u = np.exp(log_u)
+        finite = u < math.inf
+        out = np.log(kernel(np.where(finite, u, 0.0)))
+        out[~finite] = math.inf
+        for replace, where in ((small, out < _LOG_TINY),
+                               (large, out == math.inf)):
+            if replace is not None and where.any():
+                out[where] = replace(log_u[where])
+    return out
+
+
 def _calling(name):
     """A kernel that runs the public method name."""
     def kernel(self, arr):
@@ -162,6 +196,7 @@ class OrliczFunction:
 
     is_n_function = True
     growth = (None, None)   # unknown at both ends
+    _kinks = ()
 
     def __init_subclass__(cls, **kwargs):
         # an override of a public method without its kernel gets a kernel
@@ -216,6 +251,12 @@ class OrliczFunction:
 
     _value_impl, _derivative_impl, _young_impl = _value, _derivative, _young
 
+    def _log_value(self, log_u):
+        return _log_kernel(self._value, log_u)
+
+    def _log_young(self, log_u):
+        return _log_kernel(self._young, log_u)
+
     def conjugate(self):
         """The convex conjugate as another OrliczFunction."""
         cached = self.__dict__.get("_conjugate_cache")
@@ -248,6 +289,17 @@ class PowerOrlicz(OrliczFunction):
     def _derivative(self, arr):
         return self.scale * self.exponent * arr**(self.exponent - 1.0)
 
+    def _log_value(self, log_u):
+        def power(x):
+            return math.log(self.scale) + self.exponent * x
+        return _log_kernel(self._value, log_u, power, power)
+
+    def _log_young(self, log_u):
+        def power(x):
+            return (math.log((self.exponent - 1.0) * self.scale)
+                    + self.exponent * x)
+        return _log_kernel(self._young, log_u, power, power)
+
     def _build_conjugate(self):
         r = self.exponent
         dual_r = r / (r - 1.0)
@@ -266,6 +318,16 @@ class ExpOrlicz(OrliczFunction):
     _value = staticmethod(_exp_minus_linear)
     _derivative = staticmethod(np.expm1)
 
+    # u^2 / 2 where they underflow; e^u and (u - 1) e^u past u = 709
+    def _log_value(self, log_u):
+        return _log_kernel(self._value, log_u, _half_square, np.exp)
+
+    def _log_young(self, log_u):
+        def large(x):
+            u = np.exp(x)
+            return u + np.log(u - 1.0)
+        return _log_kernel(self._young, log_u, _half_square, large)
+
     def _build_conjugate(self):
         partner = LogOrlicz()
         partner.__dict__["_conjugate_cache"] = self
@@ -280,6 +342,14 @@ class LogOrlicz(OrliczFunction):
 
     _value = staticmethod(_log_minus_linear)
     _derivative = staticmethod(np.log1p)
+
+    # u^2 / 2 where they underflow; u (log u - 1) and u past u = 1e307
+    def _log_value(self, log_u):
+        return _log_kernel(self._value, log_u, _half_square,
+                           lambda x: x + np.log(x - 1.0))
+
+    def _log_young(self, log_u):
+        return _log_kernel(self._young, log_u, _half_square, lambda x: x)
 
     def _build_conjugate(self):
         partner = ExpOrlicz()
@@ -318,6 +388,22 @@ class FlatZeroOrlicz(OrliczFunction):
             raise ValidationError("exp(-1/cutoff) underflows: the "
                                   "construction is not strictly convex",
                                   field="phi.cutoff")
+        self._kinks = (t,)
+
+    # exp(-1/u) and exp(-1/u) (1/u - 1) where they underflow; both are
+    # curv u^2 / 2 to rounding where they overflow
+    def _log_value(self, log_u):
+        return _log_kernel(self._value, log_u, lambda x: -np.exp(-x),
+                           self._log_half_curv)
+
+    def _log_young(self, log_u):
+        def small(x):
+            v = np.exp(-x)
+            return np.where(v < math.inf, np.log(v - 1.0) - v, -math.inf)
+        return _log_kernel(self._young, log_u, small, self._log_half_curv)
+
+    def _log_half_curv(self, log_u):
+        return math.log(0.5 * self._curv) + 2.0 * log_u
 
     def _value(self, arr):
         with np.errstate(divide="ignore"):
@@ -375,6 +461,7 @@ class TabulatedOrlicz(OrliczFunction):
         self._ts = ts
         self._ys = ys
         self._slopes = slopes
+        self._kinks = tuple(ts[1:-1].tolist())
 
     def _value(self, arr):
         inside = np.interp(arr, self._ts, self._ys)
@@ -385,6 +472,16 @@ class TabulatedOrlicz(OrliczFunction):
         seg = np.searchsorted(self._ts, arr, side="right") - 1
         seg = np.clip(seg, 0, len(self._slopes) - 1)
         return self._slopes[seg]
+
+    # linear at both ends; the Young side is constant from the last knot on
+    def _log_value(self, log_u):
+        return _log_kernel(
+            self._value, log_u, lambda x: math.log(self._slopes[0]) + x,
+            lambda x: math.log(self._slopes[-1]) + x)
+
+    def _log_young(self, log_u):
+        return _log_kernel(self._young,
+                           np.minimum(log_u, math.log(self._ts[-1])))
 
     def _build_conjugate(self):
         return TabulatedConjugate(self)

@@ -11,6 +11,13 @@ i -> inf) of f*, each a pair (shape, amplitude a): "log" is a log(1/t),
 "inv_log" is a / log i, a float p is a t^-p, and "bounded" and "finite"
 mark a bounded head and a finite support.  The base classes leave `ends`
 and `beta` unset: a class outside the catalog has no growth type.
+
+For the layouts `norms` lays these out on, each also works in log
+coordinates, x = log t (y = log i), without forming e^x where it leaves the
+float range: `_log_star(x)` is log f*(e^x) for an array x, `_log_level(lam)`
+the log of the measure where f* falls to lam and `_log_kinks()` the logs of
+its kinks; a weight's `_log_mass(x)` is log(t w(t)) at t = e^x.  A band
+keeps its head in log form, so a head below the least float stays a head.
 """
 
 import math
@@ -61,6 +68,17 @@ class DecreasingProfile:
         """Interior kinks of f*, as a tuple."""
         return ()
 
+    def _log_kinks(self):
+        return tuple(math.log(b) for b in self.breakpoints() if b > 0.0)
+
+    def _log_star(self, x):
+        with np.errstate(over="ignore", divide="ignore"):
+            return np.log(self.rearranged_value(np.exp(x)))
+
+    def _log_level(self, lam):
+        measure = self.level_measure(lam)
+        return math.log(measure) if measure > 0.0 else -math.inf
+
 
 @dataclass(frozen=True)
 class LogTailProfile(DecreasingProfile):
@@ -83,6 +101,17 @@ class LogTailProfile(DecreasingProfile):
         # e^-x / (1 - e^-x) = 1 / expm1(x), without overflow for x > 709
         x = lam / self.amplitude
         return math.exp(-x) / -math.expm1(-x)
+
+    def _log_level(self, lam):
+        x = lam / self.amplitude
+        return -x - math.log(-math.expm1(-x))
+
+    def _log_star(self, x):
+        # log(a log1p(e^-x)); past x = 700 log1p(e^-x) is e^-x to rounding
+        x = np.asarray(x, dtype=float)
+        with np.errstate(divide="ignore"):
+            near = np.log(np.logaddexp(0.0, -x))
+        return math.log(self.amplitude) + np.where(x > 700.0, -x, near)
 
     @property
     def ends(self):
@@ -110,6 +139,12 @@ class PowerTailProfile(DecreasingProfile):
             raise DomainError("level must be positive")
         return (self.amplitude / lam)**(1.0 / self.exponent)
 
+    def _log_level(self, lam):
+        return (math.log(self.amplitude) - math.log(lam)) / self.exponent
+
+    def _log_star(self, x):
+        return math.log(self.amplitude) - self.exponent * np.asarray(x, float)
+
     @property
     def ends(self):
         end = (float(self.exponent), self.amplitude)
@@ -122,7 +157,8 @@ class PowerTailProfile(DecreasingProfile):
 @dataclass(frozen=True)
 class _Band(DecreasingProfile):
     """The value band [lower_value, upper_value] of a profile, on [_head,
-    _outer); f* has its kink at _head."""
+    _outer); f* has its kink at _head, whose log _log_head stays finite
+    where _head underflows to 0."""
 
     base: DecreasingProfile
     lower_value: float
@@ -133,11 +169,27 @@ class _Band(DecreasingProfile):
             raise ValidationError("band needs 0 < lower < upper", field="band")
         object.__setattr__(self, "_head",
                            self.base.level_measure(self.upper_value))
+        object.__setattr__(self, "_log_head",
+                           self.base._log_level(self.upper_value))
         object.__setattr__(self, "_outer",
                            self.base.level_measure(self.lower_value))
 
     def breakpoints(self):
         return (self._head,)
+
+    def _log_kinks(self):
+        return (self._log_head,)
+
+    def _below_head(self, arr):
+        with np.errstate(divide="ignore"):
+            return np.log(arr) < self._log_head
+
+    def _base_value(self, arr, rearranged=False):
+        # the base at t = 0 is its supremum, +inf for the catalog heads
+        with np.errstate(divide="ignore"):
+            if rearranged:
+                return self.base.rearranged_value(arr)
+            return self.base.value(arr)
 
     def scaled(self, c):
         return type(self)(self.base.scaled(c), c * self.lower_value,
@@ -162,15 +214,24 @@ class BandRestriction(_Band):
 
     def value(self, t):
         arr = np.asarray(t, dtype=float)
-        inside = (arr >= self._head) & (arr < self._outer)
-        vals = np.where(inside, self.base.value(np.maximum(arr, 1e-300)), 0.0)
+        inside = ~self._below_head(arr) & (arr < self._outer)
+        vals = np.where(inside, self._base_value(arr), 0.0)
         return vals if np.ndim(t) else float(vals)
 
     def rearranged_value(self, t):
+        # capped at upper_value, which base(0 + _head) exceeds where _head
+        # underflows to 0
         arr = np.asarray(t, dtype=float)
         vals = np.where(arr < self.support_measure,
-                        self.base.value(arr + self._head), 0.0)
+                        np.minimum(self._base_value(arr + self._head, True),
+                                   self.upper_value), 0.0)
         return vals if np.ndim(t) else float(vals)
+
+    def _log_star(self, x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x < math.log(self.support_measure),
+                        self.base._log_star(np.logaddexp(x, self._log_head)),
+                        -math.inf)
 
     def level_measure(self, lam):
         if lam <= 0.0:
@@ -190,17 +251,27 @@ class BandComplement(_Band):
     def ends(self):
         return self.base.ends
 
+    @property
+    def support_measure(self):
+        return self.base.support_measure - (self._outer - self._head)
+
     def value(self, t):
         arr = np.asarray(t, dtype=float)
-        keep = (arr < self._head) | (arr >= self._outer)
-        vals = np.where(keep, self.base.value(np.maximum(arr, 1e-300)), 0.0)
+        keep = self._below_head(arr) | (arr >= self._outer)
+        vals = np.where(keep, self._base_value(arr), 0.0)
         return vals if np.ndim(t) else float(vals)
 
     def rearranged_value(self, t):
         arr = np.asarray(t, dtype=float)
         gap = self._outer - self._head
-        shifted = np.where(arr < self._head, arr, arr + gap)
-        return self.base.value(np.maximum(shifted, 1e-300))
+        return self._base_value(np.where(self._below_head(arr), arr,
+                                         arr + gap), True)
+
+    def _log_star(self, x):
+        x = np.asarray(x, dtype=float)
+        log_gap = math.log(self._outer - self._head)
+        return np.where(x < self._log_head, self.base._log_star(x),
+                        self.base._log_star(np.logaddexp(x, log_gap)))
 
     def level_measure(self, lam):
         if lam <= 0.0:
@@ -210,6 +281,13 @@ class BandComplement(_Band):
         if lam < self.lower_value:
             return self.base.level_measure(lam) - (self._outer - self._head)
         return self._head
+
+    def _log_level(self, lam):
+        if lam >= self.upper_value:
+            return self.base._log_level(lam)
+        if lam >= self.lower_value:
+            return self._log_head
+        return super()._log_level(lam)
 
 
 @dataclass(frozen=True)
@@ -224,6 +302,15 @@ class _SlidProfile(DecreasingProfile):
 
     def breakpoints(self):
         return self.source.breakpoints()
+
+    def _log_kinks(self):
+        return self.source._log_kinks()
+
+    def _log_star(self, x):
+        return self.source._log_star(x)
+
+    def _log_level(self, lam):
+        return self.source._log_level(lam)
 
     def value(self, t):
         return self.source.rearranged_value(t)
@@ -253,6 +340,10 @@ class DecreasingSeqProfile:
 
     def level_count(self, lam):
         raise NotImplementedError
+
+    def _log_star(self, y):
+        with np.errstate(over="ignore", divide="ignore"):
+            return np.log(self.value(np.exp(y)))
 
     def scaled(self, c):
         raise NotImplementedError
@@ -287,6 +378,9 @@ class PowerSeqTail(DecreasingSeqProfile):
             raise DomainError("level must be positive")
         return _count_below((self.amplitude / lam)**(1.0 / self.exponent))
 
+    def _log_star(self, y):
+        return math.log(self.amplitude) - self.exponent * np.asarray(y, float)
+
     @property
     def ends(self):
         return ("bounded", 0.0), (float(self.exponent), self.amplitude)
@@ -311,6 +405,9 @@ class LogSeqTail(DecreasingSeqProfile):
         if lam <= 0.0:
             raise DomainError("level must be positive")
         return _count_below(math.expm1(self.amplitude / lam))
+
+    def _log_star(self, y):
+        return math.log(self.amplitude) - np.log(np.logaddexp(0.0, y))
 
     @property
     def ends(self):
@@ -338,6 +435,11 @@ class ShiftedSeqTail(DecreasingSeqProfile):
 
     def value(self, i):
         return self.base.value(np.asarray(i, dtype=float) + self.offset)
+
+    def _log_star(self, y):
+        with np.errstate(divide="ignore"):
+            log_offset = np.log(float(self.offset))
+        return self.base._log_star(np.logaddexp(y, log_offset))
 
     def level_count(self, lam):
         return max(self.base.level_count(lam) - self.offset, 0)
@@ -367,6 +469,10 @@ class Weight:
 
     def inverse_cumulative(self, target):
         raise NotImplementedError
+
+    def _log_mass(self, x):
+        with np.errstate(over="ignore", divide="ignore"):
+            return x + np.log(self.value(np.exp(x)))
 
 
 @dataclass(frozen=True)
@@ -478,17 +584,28 @@ class PowerWeight(Weight):
             raise DomainError("target mass must be nonnegative")
         return ((1.0 - self.beta) * target)**(1.0 / (1.0 - self.beta))
 
+    def _log_mass(self, x):
+        return (1.0 - self.beta) * np.asarray(x, dtype=float)
+
 
 # ---------------------------------------------------------------------------
 # weights, sequence setting
 
 class SequenceWeight:
-    """Strictly positive nonincreasing sequence weight with divergent sums."""
+    """Strictly positive nonincreasing sequence weight with divergent sums.
+
+    value takes real arguments too, and is smooth from index _smooth_from
+    on."""
 
     setting = "sequence"
+    _smooth_from = 1
 
     def value(self, i):
         raise NotImplementedError
+
+    def _log_mass(self, y):
+        with np.errstate(over="ignore", divide="ignore"):
+            return y + np.log(self.value(np.exp(y)))
 
     def head(self, n):
         """First n weights as an array."""
@@ -532,6 +649,9 @@ class HarmonicSeqWeight(SequenceWeight):
         out = 1.0 / arr
         return out if np.ndim(i) else float(out)
 
+    def _log_mass(self, y):
+        return np.zeros_like(np.asarray(y, dtype=float))
+
 
 @dataclass(frozen=True)
 class PowerSeqWeight(SequenceWeight):
@@ -547,6 +667,9 @@ class PowerSeqWeight(SequenceWeight):
         arr = np.asarray(i, dtype=float)
         out = arr**(-self.beta)
         return out if np.ndim(i) else float(out)
+
+    def _log_mass(self, y):
+        return (1.0 - self.beta) * np.asarray(y, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -568,6 +691,7 @@ class ExplicitSeqWeight(SequenceWeight):
             raise ValidationError("values must be nonincreasing",
                                   field="head_values")
         object.__setattr__(self, "head_values", cleaned)
+        object.__setattr__(self, "_smooth_from", len(cleaned))
 
     def value(self, i):
         arr = np.asarray(i, dtype=float)

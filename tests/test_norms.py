@@ -51,7 +51,7 @@ def test_modular_of_log_tail_profile_quadrature():
     w = olk.StepWeight(((math.inf, 1.0),))
     f = olk.LogTailProfile(1.0)
     assert olk.rho_modular(phi, w, f) == pytest.approx(
-        math.pi**2 / 6.0, rel=1e-8)
+        math.pi**2 / 6.0, rel=1e-12)
 
 
 def test_modular_divergence_detected():
@@ -64,19 +64,23 @@ def test_modular_divergence_detected():
     assert math.isinf(olk.rho_modular(phi, w, fat))
 
 
-# rho_modular values frozen as float.hex: the quadrature splits its range at
+# rho_modular values frozen as float.hex: the DE nodes split their range at
 # the weight's breakpoints and at the kinks breakpoints() reports, here the
-# band head, so equal bits pin those pieces
+# band head, so equal bits pin those pieces.  Each lies within 1e-15 of a
+# 30-digit mpmath quadrature of the same integral (or of the series, summed
+# to i = 999 and continued by Euler-Maclaurin): 1.5898775769795122742,
+# 21.654231664188301325, 0.98805696908695624918, 0.52557519069003678406,
+# 5.4393934642322665062 and 0.23745937165280417868
 TWO_BREAKPOINTS = olk.StepWeight(((0.5, 3.0), (1.5, 2.0), (math.inf, 1.0)))
 BAND_MODULARS = [
     (olk.BandRestriction(olk.PowerTailProfile(0.75, 0.8), 0.25, 2.0),
-     "0x1.97023785c54e6p+0"),
+     "0x1.97023785c54e9p+0"),
     (olk.BandComplement(olk.PowerTailProfile(0.75, 0.8), 0.25, 2.0),
-     "0x1.5a77bb9f1b249p+4"),
+     "0x1.5a77bb9f1b24cp+4"),
     (olk.BandRestriction(olk.LogTailProfile(0.7), 0.25, 2.0),
-     "0x1.f9e29a61a070cp-1"),
+     "0x1.f9e29a61a070ep-1"),
     (olk.BandComplement(olk.LogTailProfile(0.7), 0.25, 2.0),
-     "0x1.0d1830ff34915p-1"),
+     "0x1.0d1830ff34918p-1"),
 ]
 
 
@@ -91,14 +95,61 @@ def test_band_modular_quadrature_pieces_are_frozen(f, frozen, view):
 
 @pytest.mark.parametrize("phi, f, frozen", [
     (olk.FlatZeroOrlicz(), olk.ShiftedSeqTail(olk.LogSeqTail(1.5), 3),
-     "0x1.5c1f05c3bd151p+2"),
+     "0x1.5c1f05c3bd09cp+2"),
     (olk.PowerOrlicz(2.0, 0.5),
      olk.ShiftedSeqTail(olk.PowerSeqTail(0.8, 1.2), 3),
-     "0x1.e651195b05207p-3"),
+     "0x1.e651195b05203p-3"),
 ], ids=["log-tail", "power-tail"])
 def test_shifted_tail_modular_is_frozen(phi, f, frozen):
     assert olk.rho_modular(phi, olk.PowerSeqWeight(0.5), f) \
         == float.fromhex(frozen)
+
+
+# a (-gamma - digamma(1 - a)), the modular of a log(1 + 1/t) under exp(u)
+# - u - 1 and w = 1, by mpmath at 40 digits; at a = 1 - 1e-6 and 1 - 1e-12
+# the nodes may not resolve it, and then the library must say so
+DIGAMMA_ANCHORS = [
+    (0.5, math.log(2.0)),
+    (0.9, 8.8618853479585895411),
+    (0.999, 998.99835791064185884),
+    (1.0 - 1e-6, 999998.99996959940426),
+    (1.0 - 1e-12, 1000022122208.5028311),
+]
+
+
+@pytest.mark.parametrize("a, exact", DIGAMMA_ANCHORS)
+def test_log_tail_modular_matches_digamma_anchor(a, exact, lebesgue_weight):
+    f = olk.LogTailProfile(a)
+    if a < 0.9999:
+        assert olk.rho_modular(olk.ExpOrlicz(), lebesgue_weight, f) == \
+            pytest.approx(exact, rel=1e-9)
+        return
+    try:
+        value = olk.rho_modular(olk.ExpOrlicz(), lebesgue_weight, f)
+    except UndecidedError:
+        return
+    assert value == pytest.approx(exact, rel=1e-9)
+
+
+def test_log_seq_tail_modular_matches_the_reference_quadrature():
+    # bench/reference.py's Gauss-Legendre value for the seed-1 slot 15 of
+    # the profiles pool, whose tail the library once cut at log i = 700
+    phi = olk.PowerOrlicz(1.5, 1.9375)
+    f = olk.LogSeqTail(1.1371561710740203)
+    assert olk.rho_modular(phi, olk.HarmonicSeqWeight(), f) == \
+        pytest.approx(9.583370034510956, rel=1e-10)
+
+
+@pytest.mark.parametrize("phi, f", [
+    # (1 / log i)^1.02 / i: the tail decays too slowly for the nodes' reach
+    (olk.PowerOrlicz(1.02), olk.LogSeqTail(1.0)),
+    # the knot 1e-12 is crossed near i = 1e6, past the exact head
+    (olk.TabulatedOrlicz(((0.0, 0.0), (1e-12, 1e-12), (1.0, 2.0))),
+     olk.PowerSeqTail(2.0)),
+], ids=["reach", "kink"])
+def test_unresolved_profile_modular_is_undecided(phi, f):
+    with pytest.raises(UndecidedError):
+        olk.rho_modular(phi, olk.HarmonicSeqWeight(), f)
 
 
 def test_modular_of_zero_is_zero(quad_phi, lebesgue_weight):
@@ -213,17 +264,19 @@ def test_profile_norms_are_homogeneous_at_extreme_magnitudes(c):
     phi = olk.PowerOrlicz(2.0, 1.0)
     w = olk.StepWeight(((1.0, 2.0), (math.inf, 1.0)))
     band = olk.BandRestriction(olk.PowerTailProfile(1.0, 1.0), 0.25, 2.0)
-    assert math.sqrt(37.0 / 12.0) == pytest.approx(1.7559422921, rel=1e-10)
-    assert olk.luxemburg_norm(phi, w, band.scaled(c)) / c == pytest.approx(
-        1.7559422921, rel=1e-8)
-    assert olk.orlicz_norm_amemiya(phi, w, band.scaled(c)) / c == \
-        pytest.approx(3.5118845843, rel=1e-8)
+    root = math.sqrt(37.0 / 12.0)
+    assert olk.luxemburg_norm(phi, w, band.scaled(c),
+                              rel_tol=1e-13) / c == pytest.approx(
+        root, rel=1e-12)
+    assert olk.orlicz_norm_amemiya(phi, w, band.scaled(c),
+                                   rel_tol=1e-13) / c == pytest.approx(
+        2.0 * root, rel=1e-12)
     tail = olk.PowerSeqTail(1.0, 1.0).scaled(c)
     hw = olk.HarmonicSeqWeight()
-    assert olk.luxemburg_norm(phi, hw, tail) / c == pytest.approx(
-        math.sqrt(ZETA_3), rel=1e-8)
-    assert olk.orlicz_norm_amemiya(phi, hw, tail) / c == pytest.approx(
-        2.0 * math.sqrt(ZETA_3), rel=1e-8)
+    assert olk.luxemburg_norm(phi, hw, tail, rel_tol=1e-13) / c == \
+        pytest.approx(math.sqrt(ZETA_3), rel=1e-12)
+    assert olk.orlicz_norm_amemiya(phi, hw, tail, rel_tol=1e-13) / c == \
+        pytest.approx(2.0 * math.sqrt(ZETA_3), rel=1e-12)
 
 
 def test_log_tail_gauge_norm_frozen_value():
@@ -435,9 +488,9 @@ class _DoubledPower(olk.PowerOrlicz):
 
 
 def test_a_catalog_subclass_overriding_value_runs_it_on_every_path():
-    # the finite solves probe the kernel _value, profile quadrature the
-    # public value; both must run the override, whose values are exactly
-    # those of PowerOrlicz(2.5, 1.5)
+    # the finite solves probe the kernel _value, the profile layouts the log
+    # kernel _log_value; both must run the override, whose values are
+    # exactly those of PowerOrlicz(2.5, 1.5)
     user, same = _DoubledPower(2.5, 0.75), olk.PowerOrlicz(2.5, 1.5)
     w = olk.StepWeight(((1.0, 2.0), (math.inf, 1.0)))
     hw = olk.HarmonicSeqWeight()
@@ -449,6 +502,24 @@ def test_a_catalog_subclass_overriding_value_runs_it_on_every_path():
         for norm in (olk.rho_modular, olk.luxemburg_norm):
             assert norm(user, weight, f) == norm(same, weight, f), \
                 (norm.__name__, f)
+
+
+class _PassThroughExp(olk.ExpOrlicz):
+    """ExpOrlicz through an override of the public value, as a counting
+    wrapper has."""
+
+    def value(self, u):
+        return super().value(u)
+
+
+@pytest.mark.parametrize("norm", [olk.rho_modular, olk.luxemburg_norm,
+                                  olk.orlicz_norm_amemiya])
+def test_a_pass_through_override_keeps_the_profile_norms(norm):
+    # the nodes of a log head reach past the float range of exp, where the
+    # subclass keeps its family's leading form
+    f = olk.LogTailProfile(0.5)
+    assert norm(_PassThroughExp(), LEBESGUE, f) == \
+        norm(olk.ExpOrlicz(), LEBESGUE, f)
 
 
 class _SuperOnly(olk.OrliczFunction):
@@ -762,6 +833,48 @@ def test_remainder_norms_match_frozen_values(lebesgue_weight):
         rem = olk.truncation_remainder(f, n)
         assert olk.orlicz_norm_amemiya(
             phi, lebesgue_weight, rem) == pytest.approx(expected, rel=1e-8)
+
+
+# the Luxemburg norms at n = 256 and 4096: roots of 30-digit mpmath
+# quadratures of the head integral over t = e^-y in [0, e^-n / (1 - e^-n))
+# and of the tail past the band
+FAR_REMAINDER_GAUGE = {256: 1.0163934288452576, 4096: 1.0015779980546191}
+
+
+def test_far_remainder_norms_match_mpmath(lebesgue_weight):
+    f = olk.LogTailProfile(1.0)
+    for n, expected in FAR_REMAINDER_GAUGE.items():
+        rem = olk.truncation_remainder(f, n)
+        assert olk.luxemburg_norm(olk.ExpOrlicz(), lebesgue_weight,
+                                  rem) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("m, expected", [
+    # the values above 2 of the band come first, then those below 1/2
+    (2, 0.7139264092890494),
+    # only the values below 1/3, on a support that ends with the band's
+    (3, 0.33214529092995704),
+])
+def test_remainder_of_a_band_keeps_its_support(m, expected):
+    # roots of SciPy quadratures (epsrel 1e-13) of the modular of f* written
+    # out piece by piece, under (1 + u) log(1 + u) - u and w = t^-1/4
+    band = olk.BandRestriction(olk.LogTailProfile(1.2), 0.1, 2.5)
+    rem = olk.truncation_remainder(band, m)
+    assert olk.luxemburg_norm(olk.LogOrlicz(), olk.PowerWeight(0.25),
+                              rem) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [746, 4096])
+def test_band_head_below_the_least_float_stays_unbounded(n):
+    # the head e^-n / (1 - e^-n) underflows to 0, and f* at 0 must still
+    # exceed n, as must f* at t = e^-(n + 1), given in log coordinates; the
+    # kept band stays at most n
+    f = olk.LogTailProfile(1.0)
+    rem = olk.truncation_remainder(f, n)
+    assert rem.rearranged_value(0.0) > n
+    assert rem.rearranged().value(0.0) > n
+    assert rem._log_star(np.array([-n - 1.0]))[0] > math.log(n)
+    assert olk.truncate(f, n).rearranged_value(0.0) == n
 
 
 @pytest.mark.parametrize("n", [709, 710, 1000, 2**20, 2**40])

@@ -295,6 +295,48 @@ def test_kernels_overflow_to_inf_without_nan_or_warning(phi, entries):
             assert (out >= 0.0).all()    # NaN fails too
 
 
+# log u from -inf over 1e-3 .. 1e6 in magnitude, both signs
+_LOG_ARGS = np.concatenate(([-np.inf], -np.logspace(6, -3, 200), [0.0],
+                            np.logspace(-3, 6, 200)))
+
+
+@pytest.mark.parametrize("phi", _CATALOG, ids=lambda phi: type(phi).__name__)
+def test_log_kernels_are_monotone_and_match_the_kernels(phi):
+    # the profile layouts read log phi and log young at log u over the whole
+    # float range: no NaN or warning, nondecreasing across the hand-overs
+    # to the leading forms, and the log of the public method in between
+    for log_kernel, public in ((phi._log_value, phi.value),
+                               (phi._log_young, phi.young)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = log_kernel(_LOG_ARGS)
+        assert not np.isnan(out).any()
+        prev, nxt = out[:-1], out[1:]
+        assert ((nxt >= prev) | np.isclose(nxt, prev, rtol=1e-15)).all()
+        middle = np.abs(_LOG_ARGS) <= 5.0
+        with np.errstate(divide="ignore"):
+            direct = np.log(public(np.exp(_LOG_ARGS[middle])))
+        assert out[middle] == pytest.approx(direct, rel=1e-13)
+
+
+@pytest.mark.parametrize("log_kernel, log_u, expected", [
+    (olk.PowerOrlicz(2.5, 0.75)._log_value, 1e6, math.log(0.75) + 2.5e6),
+    (olk.PowerOrlicz(2.5, 0.75)._log_young, -1e6, math.log(1.125) - 2.5e6),
+    (olk.ExpOrlicz()._log_value, math.log(800.0), 800.0),
+    (olk.ExpOrlicz()._log_young, math.log(800.0), 800.0 + math.log(799.0)),
+    (olk.ExpOrlicz()._log_value, -800.0, -1600.0 - math.log(2.0)),
+    (olk.LogOrlicz()._log_value, 1e4, 1e4 + math.log(1e4 - 1.0)),
+    (olk.FlatZeroOrlicz(0.35)._log_value, -7.0, -math.exp(7.0)),
+    (olk.TabulatedOrlicz(((0.0, 0.0), (1.0, 0.5), (3.0, 4.5)))._log_young,
+     1e6, math.log(3.0 * 2.0 - 4.5)),
+], ids=["power", "power-young", "exp", "exp-young", "exp-small", "log",
+        "flat-small", "tabulated-young"])
+def test_log_kernels_take_the_leading_forms_past_the_float_range(
+        log_kernel, log_u, expected):
+    assert log_kernel(np.array([log_u]))[0] == pytest.approx(expected,
+                                                             rel=1e-14)
+
+
 @pytest.mark.parametrize("phi", KERNEL_FAMILIES,
                          ids=lambda phi: type(phi).__name__)
 def test_kernel_values_overflow_to_inf(phi):
