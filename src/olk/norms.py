@@ -235,8 +235,10 @@ class _Nodes:
 
 
 def _join(blocks, log_r, log_mass_of):
+    """(log f*, log mass, weight at twice the step, outermost mask) over
+    the concatenated DE blocks."""
     x, log_w, coarse, outer = (np.concatenate(a) for a in zip(*blocks))
-    return x, log_r(x), log_w + log_mass_of(x), coarse, outer
+    return log_r(x), log_w + log_mass_of(x), coarse, outer
 
 
 def _function_nodes(weight, f, cuts):
@@ -245,7 +247,7 @@ def _function_nodes(weight, f, cuts):
     features = {0.0, *cuts, *f._log_kinks(),
                 *(math.log(b) for b in weight.breakpoints() if b > 0.0)}
     bounds = sorted(x for x in features if -math.inf < x < top)
-    _, log_r, log_mass, coarse, outer = _join(
+    log_r, log_mass, coarse, outer = _join(
         _line_blocks(bounds, top), f._log_star, weight._log_mass)
     return _Nodes(log_r, log_mass, np.ones_like(log_r), coarse, outer)
 
@@ -259,7 +261,7 @@ def _sequence_nodes(weight, f, head, split):
     with np.errstate(divide="ignore"):
         head_r = np.log(f.value(idx))
         head_mass = np.log(weight.head(idx.size) * np.abs(mu))
-    _, tail_r, tail_mass, coarse, outer = _join(
+    tail_r, tail_mass, coarse, outer = _join(
         [_half_line(math.log(head), 1.0)], f._log_star, weight._log_mass)
     sign = np.sign(mu)
     return _Nodes(np.concatenate((head_r, tail_r)),
@@ -281,7 +283,7 @@ class _ProfileLayout:
     """
 
     def __init__(self, phi, weight, f):
-        self.phi, self.weight, self.f = phi, weight, f
+        self.kinks, self.weight, self.f = phi._kinks, weight, f
         self.scale = _profile_scale(f)
         self.log_scale = math.log(self.scale)
         self._fixed = None
@@ -290,7 +292,7 @@ class _ProfileLayout:
         """The nodes for the multiple e^log_c of f / scale."""
         if self._fixed is not None:
             return self._fixed
-        levels = [k * self.scale * math.exp(-log_c) for k in self.phi._kinks]
+        levels = [k * self.scale * math.exp(-log_c) for k in self.kinks]
         weight, f = self.weight, self.f
         if f.setting == "function":
             nodes = _function_nodes(weight, f,
