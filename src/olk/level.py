@@ -29,6 +29,7 @@ The sequence variant replaces integrals by sums over index blocks (a, b] =
 """
 
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -98,10 +99,11 @@ def _decomposition(layout, blocks, h, w):
     ends are Python floats, or ints in the sequence setting."""
     firsts, ends, h_masses, w_masses = blocks
     edges = layout.edges
-    intervals = tuple(map(LevelInterval, edges[firsts].tolist(),
-                          edges[ends].tolist(),
-                          (h_masses / w_masses).tolist(), h_masses.tolist(),
-                          w_masses.tolist()))
+    # tuple.__new__ builds each row without the NamedTuple's Python __new__
+    rows = zip(edges[firsts].tolist(), edges[ends].tolist(),
+               (h_masses / w_masses).tolist(), h_masses.tolist(),
+               w_masses.tolist())
+    intervals = tuple(map(partial(tuple.__new__, LevelInterval), rows))
     return LevelDecomposition(intervals, h.setting, edges[-1].item(), h, w)
 
 

@@ -508,31 +508,30 @@ def _tabulated_amemiya(phi, values, masses):
     TabulatedOrlicz, with one modular evaluation.
 
     On [t_j, t_{j+1}) the Young side t p(t) - phi(t) is the constant
-    b_j = s_j t_j - y_j, with s_j the slope there (the last slope beyond
-    the last knot), so Y(k) = sum b_{j(k u_i)} m_i, with u the values
-    divided by the largest one, is a right-continuous step function that
-    jumps by (b_j - b_{j-1}) m_i at k = t_j / u_i.  The objective falls
-    while Y < 1 and does not fall after, so its minimum sits at the first
-    crossing where the running sum of the sorted jumps reaches 1.  When
-    no finite crossing reaches 1 the objective falls for ever, to its
-    limit b sum v m, with b the final slope.
+    b_j = s_j t_j - y_j (phi._young_steps), with s_j the slope there (the
+    last slope beyond the last knot), so Y(k) = sum b_{j(k u_i)} m_i, with
+    u the values divided by the largest one, is a right-continuous step
+    function that jumps by (b_j - b_{j-1}) m_i at k = t_j / u_i.  The
+    objective falls while Y < 1 and does not fall after, so its minimum
+    sits at the first crossing where the running sum of the sorted jumps
+    reaches 1.  When no finite crossing reaches 1 the objective falls for
+    ever, to its limit b sum v m, with b the final slope.
     """
     if values.size == 0:
         return 0.0
     scale = float(values[0])
     unit = values / scale
-    ts, ys, slopes = phi._ts, phi._ys, phi._slopes
-    young = slopes[np.minimum(np.arange(ts.size), slopes.size - 1)] * ts - ys
+    ts = phi._ts
     with np.errstate(over="ignore"):
         crossings = (ts[1:, None] / unit).ravel()
-    jumps = (np.diff(young)[:, None] * masses).ravel()
+    jumps = (np.diff(phi._young_steps)[:, None] * masses).ravel()
     # for each knot the crossings rise along the decreasing values, so the
     # stable sort merges ts.size - 1 sorted runs
     order = np.argsort(crossings, kind="stable")
     reached = np.flatnonzero(np.cumsum(jumps[order]) >= 1.0)
     k = float(crossings[order[reached[0]]]) if reached.size else math.inf
     if math.isinf(k):
-        return scale * float(slopes[-1]) * float(np.sum(unit * masses))
+        return scale * float(phi._slopes[-1]) * float(np.sum(unit * masses))
     return scale * (1.0 + _finite_modular(phi._value, k * unit, masses)) / k
 
 

@@ -39,7 +39,12 @@ exact to rounding there.  A subclass that overrides a public method but
 not its kernel gets a kernel that calls the override, and the log kernels
 call the kernels, so every solve runs the same function; past the float
 range a subclass of a catalog family keeps its family's leading form.
-Instances are immutable; the conjugate is cached.
+ExpOrlicz, LogOrlicz, FlatZeroOrlicz and TabulatedOrlicz write their Young
+side _young in closed form, and a subclass keeps it, so an override that
+only passes through (a counting wrapper) computes exactly what its family
+does; a subclass that changes phi must override young or _young too.
+PowerOrlicz and functions outside the catalog run u p(u) - phi(u) through
+_value and _derivative.  Instances are immutable; the conjugate is cached.
 
 `_kinks` lists the arguments where phi or its Young side is not smooth: the
 inner knots of a TabulatedOrlicz and the cutoff of a FlatZeroOrlicz.
@@ -90,9 +95,19 @@ def _like(arr, template):
 # first.  From u = 1 up, (1 + u) log(1 + u) - u is evaluated in that Young
 # form u w - (exp(w) - 1 - w) too, within 3 ulp and monotone; the closed
 # form carries the rounding of w with weight 1 + u.
+#
+# Their Young sides u p(u) - phi(u) are taken in one pass, without the
+# cancellation of the generic form.  For exp: (u - 1) e^u + 1, summed below
+# u = 1 as sum_{k >= 2} (k - 1) / k! u^k, cut by the same rule, and from
+# u = 1 up in closed form, where u - 1 is exact and no term cancels.  For
+# log: u - log(1 + u), which is exp(w) - 1 - w at w = log(1 + u) (Young's
+# equality with its conjugate exp), summed from that exp series in w below
+# u = 1 and in closed form from u = 1 up, where the rounding of w carries
+# weight w / (u - w) <= 2.3.
 _SERIES_BELOW = 1.0
 _EXP_SERIES = tuple(1.0 / math.factorial(k) for k in range(2, 20))
 _LOG_TAIL = _EXP_SERIES[1:16]
+_EXP_YOUNG_SERIES = tuple((k - 1.0) / math.factorial(k) for k in range(2, 21))
 
 
 def _half_square(log_u):
@@ -141,6 +156,31 @@ def _log_minus_linear(arr):
 def _log_by_series(u, w):
     d = u - w
     return 0.5 * (w * w) + (w * d - _series(w, _LOG_TAIL) * w)
+
+
+def _exp_young_side(arr):
+    """(u - 1) exp(u) + 1, the Young side of exp(u) - 1 - u, for an array
+    of u >= 0; +inf where it overflows."""
+    small = arr < _SERIES_BELOW
+    if small.all():
+        return _series(arr, _EXP_YOUNG_SERIES)
+    out = (arr - 1.0) * np.exp(arr) + 1.0
+    if small.any():
+        out[small] = _series(arr[small], _EXP_YOUNG_SERIES)
+    return out
+
+
+def _linear_minus_log(arr):
+    """u - log(1 + u), the Young side of (1 + u) log(1 + u) - u, for an
+    array of u >= 0."""
+    w = np.log1p(arr)
+    small = arr < _SERIES_BELOW
+    if small.all():
+        return _series(w, _EXP_SERIES)
+    out = arr - w
+    if small.any():
+        out[small] = _series(w[small], _EXP_SERIES)
+    return out
 
 
 def _conjugate_type(kind, at_zero):
@@ -317,6 +357,7 @@ class ExpOrlicz(OrliczFunction):
 
     _value = staticmethod(_exp_minus_linear)
     _derivative = staticmethod(np.expm1)
+    _young = staticmethod(_exp_young_side)
 
     # u^2 / 2 where they underflow; e^u and (u - 1) e^u past u = 709
     def _log_value(self, log_u):
@@ -342,6 +383,7 @@ class LogOrlicz(OrliczFunction):
 
     _value = staticmethod(_log_minus_linear)
     _derivative = staticmethod(np.log1p)
+    _young = staticmethod(_linear_minus_log)
 
     # u^2 / 2 where they underflow; u (log u - 1) and u past u = 1e307
     def _log_value(self, log_u):
@@ -421,6 +463,16 @@ class FlatZeroOrlicz(OrliczFunction):
         tail = self._p_c + self._curv * (arr - self.cutoff)
         return np.where(arr <= self.cutoff, head, tail)
 
+    def _young(self, arr):
+        # exp(-1/t) (1/t - 1) up to the cutoff, where 1/t > 2, and past it
+        # that value at the cutoff plus the quadratic's growth of
+        # t p(t) - phi(t), (cutoff curv + curv d / 2) d in d = t - cutoff,
+        # so the two pieces meet exactly
+        v = 1.0 / np.clip(arr, 1e-300, self.cutoff)
+        d = np.maximum(arr - self.cutoff, 0.0)
+        return (np.exp(-v) * (v - 1.0)
+                + d * (self.cutoff * self._curv + 0.5 * self._curv * d))
+
     def _build_conjugate(self):
         return FlatZeroConjugate(self)
 
@@ -461,6 +513,10 @@ class TabulatedOrlicz(OrliczFunction):
         self._ts = ts
         self._ys = ys
         self._slopes = slopes
+        # the Young side s_j t_j - y_j on [t_j, t_{j+1}), with the last
+        # slope continuing past the last knot
+        self._young_steps = (slopes[np.minimum(np.arange(ts.size),
+                                               slopes.size - 1)] * ts - ys)
         self._kinks = tuple(ts[1:-1].tolist())
 
     def _value(self, arr):
@@ -472,6 +528,10 @@ class TabulatedOrlicz(OrliczFunction):
         seg = np.searchsorted(self._ts, arr, side="right") - 1
         seg = np.clip(seg, 0, len(self._slopes) - 1)
         return self._slopes[seg]
+
+    def _young(self, arr):
+        return self._young_steps[np.searchsorted(self._ts, arr,
+                                                 side="right") - 1]
 
     # linear at both ends; the Young side is constant from the last knot on
     def _log_value(self, log_u):

@@ -480,6 +480,34 @@ def test_a_subclass_with_only_public_methods_solves_as_the_catalog(setting):
             assert norm(user, w, f) == norm(catalog, w, f), norm.__name__
 
 
+class _CountingExp(olk.ExpOrlicz):
+    """ExpOrlicz through pass-through overrides of the public value and
+    derivative, as a counting wrapper has them."""
+
+    def value(self, u):
+        return super().value(u)
+
+    def derivative(self, u):
+        return super().derivative(u)
+
+
+@pytest.mark.parametrize("setting", ["step", "sequence"])
+def test_a_pass_through_override_keeps_the_closed_young_side(setting):
+    # the finite Amemiya and K(f) solves probe ExpOrlicz's one-pass Young
+    # side, which the subclass keeps, so every result is bit-identical
+    user, catalog = _CountingExp(), olk.ExpOrlicz()
+    u = np.geomspace(1e-3, 50.0, 200)
+    assert user.young(u).tolist() == catalog.young(u).tolist()
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        if setting == "step":
+            f, w = rand_step(rng, max_atoms=20), rand_step_weight(rng)
+        else:
+            f, w = rand_seq(rng, max_len=20), rand_seq_weight(rng)
+        for norm in (olk.orlicz_norm_amemiya, olk.k_interval):
+            assert norm(user, w, f) == norm(catalog, w, f), norm.__name__
+
+
 class _DoubledPower(olk.PowerOrlicz):
     """Twice PowerOrlicz, by an override of the public value alone."""
 

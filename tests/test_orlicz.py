@@ -64,14 +64,18 @@ def test_exp_value():
 
 
 def _decimal_reference(kind, u):
-    # exp(u) - u - 1 and (1 + u) log(1 + u) - u to 50 significant digits:
-    # the working precision covers the cancellation of about 2 log10(1/u)
-    # digits
+    # exp(u) - u - 1, (1 + u) log(1 + u) - u and their Young sides
+    # (u - 1) exp(u) + 1 and u - log(1 + u) to 50 significant digits: the
+    # working precision covers the cancellation of about 2 log10(1/u) digits
     with localcontext() as ctx:
         ctx.prec = 50 + max(0, int(-2.0 * math.log10(u)))
         d = Decimal(u)
         if kind == "exp":
             return d.exp() - d - 1
+        if kind == "exp-young":
+            return (d - 1) * d.exp() + 1
+        if kind == "log-young":
+            return d - (1 + d).ln()
         return (1 + d) * (1 + d).ln() - d
 
 
@@ -116,6 +120,26 @@ def test_log_values_within_3_ulp_above_one():
         want = _decimal_reference("log", u)
         ulps = abs(Decimal(value) - want) / Decimal(math.ulp(float(want)))
         assert ulps <= 3, (u, value)
+
+
+@pytest.mark.parametrize("phi, kind, top", [
+    (olk.ExpOrlicz(), "exp-young", 700.0),
+    (olk.LogOrlicz(), "log-young", 1e300)], ids=["exp", "log"])
+def test_young_sides_within_3_ulp(phi, kind, top):
+    # the one-pass Young sides over the float range of their values, and
+    # on 4000 consecutive floats around the series switch at u = 1, where
+    # they must not step down
+    rng = np.random.default_rng(11)
+    steps = np.arange(-2000, 2000)
+    switch = 1.0 + steps * np.where(steps < 0, 2.0**-53, 2.0**-52)
+    us = np.concatenate([np.geomspace(1e-300, top, 601),
+                         np.sort(rng.uniform(0.25, 4.0, 400)), switch[::20]])
+    got = phi.young(us)
+    for u, value in zip(us.tolist(), got.tolist()):
+        want = _decimal_reference(kind, u)
+        ulps = abs(Decimal(value) - want) / Decimal(math.ulp(float(want)))
+        assert ulps <= 3, (u, value)
+    assert np.all(np.diff(phi.young(switch)) >= 0.0)
 
 
 @pytest.mark.parametrize("phi", [olk.ExpOrlicz(), olk.LogOrlicz()],
@@ -242,6 +266,16 @@ def test_tabulated_is_piecewise_linear_and_not_n_function():
     assert phi.value(1.5) == pytest.approx(1.25, rel=1e-15)
 
 
+def test_tabulated_young_is_constant_past_the_last_knot():
+    # s t - y from the last knot on, not u s - (y + s (u - t)), which
+    # cancels to 0.0 from about u = 1e17
+    phi = olk.TabulatedOrlicz(((0.0, 0.0), (1.0, 0.5), (3.0, 4.5)))
+    assert phi.young(np.array([3.0, 1e15, 1e17, 1e20, 1e300])).tolist() \
+        == [1.5] * 5
+    young = phi.young(np.geomspace(1e-300, 1e300, 6001))
+    assert np.all(np.diff(young) >= 0.0)
+
+
 def test_tabulated_rejects_nonconvex_knots():
     with pytest.raises(ValidationError):
         olk.TabulatedOrlicz(((0.0, 0.0), (1.0, 2.0), (2.0, 2.5)))
@@ -293,6 +327,43 @@ def test_kernels_overflow_to_inf_without_nan_or_warning(phi, entries):
                 continue    # a conjugate beyond the base's last slope
             assert out.dtype == np.float64 and out.shape == arr.shape
             assert (out >= 0.0).all()    # NaN fails too
+
+
+# 0, a log grid over the float range and dense grids around the series
+# switch at 1, the cutoff 0.35 and the knots 1 and 3
+_YOUNG_GRID = np.unique(np.concatenate(
+    [[0.0], np.geomspace(1e-300, 1e300, 6001)]
+    + [np.linspace(0.98 * a, 1.02 * a, 2001) for a in (0.35, 1.0, 3.0)]))
+
+
+@pytest.mark.parametrize("phi, generic_up_to", [
+    (olk.ExpOrlicz(), math.inf), (olk.LogOrlicz(), 1e15),
+    (olk.FlatZeroOrlicz(0.35), math.inf), (_CATALOG[4], 1e15)],
+    ids=["exp", "log", "flat_zero", "tabulated"])
+def test_closed_young_sides_match_the_generic_form(phi, generic_up_to):
+    # against u p(u) - phi(u), up to where that cancels: beyond the last
+    # knot, and for LogOrlicz, whose u log(1 + u) - phi(u) carries the
+    # rounding of phi(u) with weight log u; for ExpOrlicz and
+    # FlatZeroOrlicz also against Young's equality phi*(p(u)), an
+    # independent route (for LogOrlicz it is the same formula)
+    u = _YOUNG_GRID
+    young = phi.young(u)
+    assert young[0] == 0.0 and np.all(young[1:] >= young[:-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        generic = orlicz.OrliczFunction._young(phi, u)
+    routes = [(generic, u <= generic_up_to)]
+    if not isinstance(phi, (olk.LogOrlicz, olk.TabulatedOrlicz)):
+        slopes = phi.derivative(u)
+        finite = slopes < math.inf
+        equality = np.full_like(u, math.inf)
+        equality[finite] = phi.conjugate().value(slopes[finite])
+        routes.append((equality, finite))
+    tiny = np.finfo(float).tiny
+    for other, where in routes:
+        both = (where & (tiny <= young) & (young < math.inf)
+                & (tiny <= other) & (other < math.inf))
+        assert both.sum() > 1000
+        assert young[both] == pytest.approx(other[both], rel=1e-14, abs=0.0)
 
 
 # log u from -inf over 1e-3 .. 1e6 in magnitude, both signs
