@@ -40,11 +40,12 @@ not its kernel gets a kernel that calls the override, and the log kernels
 call the kernels, so every solve runs the same function; past the float
 range a subclass of a catalog family keeps its family's leading form.
 ExpOrlicz, LogOrlicz, FlatZeroOrlicz and TabulatedOrlicz write their Young
-side _young in closed form, and a subclass keeps it, so an override that
-only passes through (a counting wrapper) computes exactly what its family
-does; a subclass that changes phi must override young or _young too.
-PowerOrlicz and functions outside the catalog run u p(u) - phi(u) through
-_value and _derivative.  Instances are immutable; the conjugate is cached.
+side _young in closed form, for their own phi; a subclass that overrides
+value, derivative, _value or _derivative but neither young nor _young gets
+the generic u p(u) - phi(u) back, so it never inherits the Young side of a
+phi it changed.  PowerOrlicz and functions outside the catalog run
+u p(u) - phi(u) through _value and _derivative.  Instances are immutable;
+the conjugate is cached.
 
 `_kinks` lists the arguments where phi or its Young side is not smooth: the
 inner knots of a TabulatedOrlicz and the cutoff of a FlatZeroOrlicz.
@@ -244,6 +245,14 @@ class OrliczFunction:
         # defined itself (_value_impl, ...), so super() does not recurse
         super().__init_subclass__(**kwargs)
         own = vars(cls)
+        # a Young kernel written beside its class's own value or derivative
+        # kernel is a closed form of that phi; a subclass that changes phi
+        # but not its Young side gets u p(u) - phi(u) back
+        if (own.keys() & {"value", "derivative", "_value", "_derivative"}
+                and not own.keys() & {"young", "_young"}):
+            owner = next(c for c in cls.__mro__ if "_young" in vars(c))
+            if vars(owner).keys() & {"_value", "_derivative"}:
+                cls._young = cls._young_impl = OrliczFunction._young
         for name in ("value", "derivative", "young"):
             kernel = "_" + name
             if kernel in own:

@@ -480,24 +480,39 @@ def test_a_subclass_with_only_public_methods_solves_as_the_catalog(setting):
             assert norm(user, w, f) == norm(catalog, w, f), norm.__name__
 
 
-class _CountingExp(olk.ExpOrlicz):
-    """ExpOrlicz through pass-through overrides of the public value and
-    derivative, as a counting wrapper has them."""
+class _DoubledExp(olk.ExpOrlicz):
+    """Twice ExpOrlicz, by overrides of the public value and derivative."""
 
     def value(self, u):
-        return super().value(u)
+        return 2.0 * super().value(u)
 
     def derivative(self, u):
-        return super().derivative(u)
+        return 2.0 * super().derivative(u)
+
+
+class _PublicOnlyDoubledExp(olk.OrliczFunction):
+    """Twice ExpOrlicz through the public methods alone."""
+
+    growth = olk.ExpOrlicz.growth
+
+    def value(self, u):
+        return 2.0 * olk.ExpOrlicz().value(u)
+
+    def derivative(self, u):
+        return 2.0 * olk.ExpOrlicz().derivative(u)
 
 
 @pytest.mark.parametrize("setting", ["step", "sequence"])
-def test_a_pass_through_override_keeps_the_closed_young_side(setting):
-    # the finite Amemiya and K(f) solves probe ExpOrlicz's one-pass Young
-    # side, which the subclass keeps, so every result is bit-identical
-    user, catalog = _CountingExp(), olk.ExpOrlicz()
+def test_a_subclass_that_changes_phi_gets_the_generic_young_side(setting):
+    # ExpOrlicz's closed Young side is written for its own phi; the
+    # subclass gets u p(u) - phi(u) of the phi it computes, as a plain
+    # subclass with the same public methods does, so every result agrees
+    # exactly
+    user, plain = _DoubledExp(), _PublicOnlyDoubledExp()
     u = np.geomspace(1e-3, 50.0, 200)
-    assert user.young(u).tolist() == catalog.young(u).tolist()
+    assert user.young(u).tolist() == plain.young(u).tolist()
+    assert user.young(u) == pytest.approx(2.0 * olk.ExpOrlicz().young(u),
+                                          rel=1e-13)
     rng = np.random.default_rng(31)
     for _ in range(4):
         if setting == "step":
@@ -505,7 +520,7 @@ def test_a_pass_through_override_keeps_the_closed_young_side(setting):
         else:
             f, w = rand_seq(rng, max_len=20), rand_seq_weight(rng)
         for norm in (olk.orlicz_norm_amemiya, olk.k_interval):
-            assert norm(user, w, f) == norm(catalog, w, f), norm.__name__
+            assert norm(user, w, f) == norm(plain, w, f), norm.__name__
 
 
 class _DoubledPower(olk.PowerOrlicz):
