@@ -40,11 +40,14 @@ not its kernel gets a kernel that calls the override, and the log kernels
 call the kernels, so every solve runs the same function; past the float
 range a subclass of a catalog family keeps its family's leading form.
 ExpOrlicz, LogOrlicz, FlatZeroOrlicz and TabulatedOrlicz write their Young
-side _young in closed form, for their own phi; a subclass that overrides
-value, derivative, _value or _derivative but neither young nor _young gets
-the generic u p(u) - phi(u) back, so it never inherits the Young side of a
-phi it changed.  PowerOrlicz and functions outside the catalog run
-u p(u) - phi(u) through _value and _derivative.  Instances are immutable;
+side _young in closed form, for their own phi.  A subclass that overrides
+value, derivative, _value or _derivative but neither young nor _young keeps
+that closed form only at the arguments where its phi and p equal the
+family's bit for bit, and takes u p(u) - phi(u) of its own phi elsewhere:
+it never inherits the Young side of a phi it changed, and an override that
+passes through (a counting wrapper) computes exactly what its family does.
+PowerOrlicz and functions outside the catalog run u p(u) - phi(u) through
+_value and _derivative.  Instances are immutable;
 the conjugate is cached.
 
 `_kinks` lists the arguments where phi or its Young side is not smooth: the
@@ -130,28 +133,30 @@ def _series(u, coeffs):
     return tail
 
 
-def _exp_minus_linear(arr):
-    """exp(u) - 1 - u for an array of u >= 0; +inf where it overflows."""
+def _by_series_below_one(arr, series, closed):
+    """closed(), with series(small) in its place where u = arr < 1; series
+    takes an index into arr, `...` when every entry is small."""
     small = arr < _SERIES_BELOW
     if small.all():
-        return _series(arr, _EXP_SERIES)
-    out = np.expm1(arr) - arr
+        return series(...)
+    out = closed()
     if small.any():
-        out[small] = _series(arr[small], _EXP_SERIES)
+        out[small] = series(small)
     return out
+
+
+def _exp_minus_linear(arr):
+    """exp(u) - 1 - u for an array of u >= 0; +inf where it overflows."""
+    return _by_series_below_one(arr, lambda i: _series(arr[i], _EXP_SERIES),
+                                lambda: np.expm1(arr) - arr)
 
 
 def _log_minus_linear(arr):
     """(1 + u) log(1 + u) - u for an array of u >= 0; +inf where it
     overflows."""
     w = np.log1p(arr)
-    small = arr < _SERIES_BELOW
-    if small.all():
-        return _log_by_series(arr, w)
-    out = arr * w - _exp_minus_linear(w)
-    if small.any():
-        out[small] = _log_by_series(arr[small], w[small])
-    return out
+    return _by_series_below_one(arr, lambda i: _log_by_series(arr[i], w[i]),
+                                lambda: arr * w - _exp_minus_linear(w))
 
 
 def _log_by_series(u, w):
@@ -162,26 +167,17 @@ def _log_by_series(u, w):
 def _exp_young_side(arr):
     """(u - 1) exp(u) + 1, the Young side of exp(u) - 1 - u, for an array
     of u >= 0; +inf where it overflows."""
-    small = arr < _SERIES_BELOW
-    if small.all():
-        return _series(arr, _EXP_YOUNG_SERIES)
-    out = (arr - 1.0) * np.exp(arr) + 1.0
-    if small.any():
-        out[small] = _series(arr[small], _EXP_YOUNG_SERIES)
-    return out
+    return _by_series_below_one(
+        arr, lambda i: _series(arr[i], _EXP_YOUNG_SERIES),
+        lambda: (arr - 1.0) * np.exp(arr) + 1.0)
 
 
 def _linear_minus_log(arr):
     """u - log(1 + u), the Young side of (1 + u) log(1 + u) - u, for an
-    array of u >= 0."""
+    array of u >= 0; below u = 1 it is exp(w) - 1 - w at w = log(1 + u)."""
     w = np.log1p(arr)
-    small = arr < _SERIES_BELOW
-    if small.all():
-        return _series(w, _EXP_SERIES)
-    out = arr - w
-    if small.any():
-        out[small] = _series(w[small], _EXP_SERIES)
-    return out
+    return _by_series_below_one(arr, lambda i: _exp_minus_linear(w[i]),
+                                lambda: arr - w)
 
 
 def _conjugate_type(kind, at_zero):
@@ -232,6 +228,36 @@ def _calling(name):
     return kernel
 
 
+def _young_of(arr, phi, p):
+    """u p(u) - phi(u) from phi and p at u; +inf where both terms overflow
+    (inf - inf)."""
+    with np.errstate(invalid="ignore"):
+        out = arr * p - phi
+    return np.where(np.isnan(out), np.inf, out)
+
+
+def _young_where_phi_agrees(owner):
+    """The Young kernel of a subclass that overrides owner's phi or p but
+    not owner's closed Young side.  u p(u) - phi(u) depends on phi(u) and
+    p(u) alone, so where the subclass's values equal owner's bit for bit
+    (an override that passes through, as a counting wrapper does) it is
+    owner's closed form, and elsewhere u p(u) - phi(u) of the subclass."""
+    kernels = [next(vars(c)[name] for c in owner.__mro__ if name in vars(c))
+               for name in ("_value_impl", "_derivative_impl", "_young_impl")]
+
+    def kernel(self, arr):
+        value, derivative, young = (k.__get__(self) for k in kernels)
+        phi, p = self._value(arr), self._derivative(arr)
+        agree = (phi == value(arr)) & (p == derivative(arr))
+        if np.all(agree):
+            return young(arr)
+        out = _young_of(arr, phi, p)
+        if np.any(agree):
+            out[agree] = young(arr[agree])
+        return out
+    return kernel
+
+
 class OrliczFunction:
     """Common surface: value, right derivative, conjugate, growth types."""
 
@@ -246,13 +272,14 @@ class OrliczFunction:
         super().__init_subclass__(**kwargs)
         own = vars(cls)
         # a Young kernel written beside its class's own value or derivative
-        # kernel is a closed form of that phi; a subclass that changes phi
-        # but not its Young side gets u p(u) - phi(u) back
+        # kernel is a closed form of that phi; a subclass that overrides phi
+        # or p but not its Young side keeps it only where they agree
         if (own.keys() & {"value", "derivative", "_value", "_derivative"}
                 and not own.keys() & {"young", "_young"}):
             owner = next(c for c in cls.__mro__ if "_young" in vars(c))
-            if vars(owner).keys() & {"_value", "_derivative"}:
-                cls._young = cls._young_impl = OrliczFunction._young
+            if (owner is not OrliczFunction
+                    and vars(owner).keys() & {"_value", "_derivative"}):
+                cls._young = cls._young_impl = _young_where_phi_agrees(owner)
         for name in ("value", "derivative", "young"):
             kernel = "_" + name
             if kernel in own:
@@ -293,10 +320,7 @@ class OrliczFunction:
         raise NotImplementedError
 
     def _young(self, arr):
-        # inf - inf, where both terms overflow, is +inf
-        with np.errstate(invalid="ignore"):
-            out = arr * self._derivative(arr) - self._value(arr)
-        return np.where(np.isnan(out), np.inf, out)
+        return _young_of(arr, self._value(arr), self._derivative(arr))
 
     _value_impl, _derivative_impl, _young_impl = _value, _derivative, _young
 

@@ -523,6 +523,68 @@ def test_a_subclass_that_changes_phi_gets_the_generic_young_side(setting):
             assert norm(user, w, f) == norm(plain, w, f), norm.__name__
 
 
+def _pass_through(phi):
+    """phi in a subclass whose public value and derivative only pass
+    through, as a counting wrapper's do."""
+    cls = type(phi)
+    sub = type("PassThrough" + cls.__name__, (cls,), {
+        "value": lambda self, u: cls.value(self, u),
+        "derivative": lambda self, u: cls.derivative(self, u)})
+    clone = object.__new__(sub)
+    clone.__dict__.update(phi.__dict__)
+    return clone
+
+
+@pytest.mark.parametrize("setting", ["step", "sequence"])
+@pytest.mark.parametrize("phi", [
+    olk.ExpOrlicz(), olk.LogOrlicz(), olk.FlatZeroOrlicz(0.35),
+    olk.TabulatedOrlicz(((0.0, 0.0), (1.0, 0.5), (3.0, 4.5)))],
+    ids=["exp", "log", "flat-zero", "tabulated"])
+def test_a_pass_through_override_keeps_the_closed_young_side(phi, setting):
+    # its phi and p agree with the family's everywhere, so the finite
+    # Amemiya, K(f) and dual Orlicz solves probe the family's closed Young
+    # side and every result is bit-identical; the last two need an
+    # N-function
+    user = _pass_through(phi)
+    norms = (olk.orlicz_norm_amemiya, olk.k_interval, olk.dual_orlicz_norm)
+    u = np.concatenate([[0.0], np.geomspace(1e-300, 1e300, 601)])
+    assert user.young(u).tolist() == phi.young(u).tolist()
+    rng = np.random.default_rng(37)
+    for _ in range(4):
+        if setting == "step":
+            f, w = rand_step(rng, max_atoms=20), rand_step_weight(rng)
+        else:
+            f, w = rand_seq(rng, max_len=20), rand_seq_weight(rng)
+        for norm in norms[:None if phi.is_n_function else 1]:
+            assert norm(user, w, f) == norm(phi, w, f), norm.__name__
+
+
+class _ExpPlusSquareAboveTen(olk.ExpOrlicz):
+    """ExpOrlicz plus (u - 10)^2 from u = 10 on, by overrides of the public
+    value and derivative."""
+
+    def value(self, u):
+        d = np.maximum(np.asarray(u) - 10.0, 0.0)
+        return super().value(u) + d * d
+
+    def derivative(self, u):
+        return super().derivative(u) + 2.0 * np.maximum(np.asarray(u) - 10.0,
+                                                        0.0)
+
+
+def test_the_closed_young_side_holds_only_where_an_override_agrees():
+    # up to u = 10 phi and p are ExpOrlicz's bit for bit, past it they
+    # are not, and there the Young side is u p(u) - phi(u) of the subclass
+    user, family = _ExpPlusSquareAboveTen(), olk.ExpOrlicz()
+    u = np.geomspace(1e-3, 30.0, 400)
+    got, below = user.young(u), u <= 10.0
+    assert got[below].tolist() == family.young(u[below]).tolist()
+    above = u[~below]
+    want = above * user.derivative(above) - user.value(above)
+    assert got[~below].tolist() == want.tolist()
+    assert not np.array_equal(got, family.young(u))
+
+
 class _DoubledPower(olk.PowerOrlicz):
     """Twice PowerOrlicz, by an override of the public value alone."""
 

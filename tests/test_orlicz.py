@@ -79,6 +79,13 @@ def _decimal_reference(kind, u):
         return (1 + d) * (1 + d).ln() - d
 
 
+def _assert_within_ulps(kind, us, got, bound):
+    for u, value in zip(us.tolist(), got.tolist()):
+        want = _decimal_reference(kind, u)
+        ulps = abs(Decimal(value) - want) / Decimal(math.ulp(float(want)))
+        assert ulps <= bound, (u, value)
+
+
 @pytest.mark.parametrize("phi", [olk.ExpOrlicz(), olk.LogOrlicz()],
                          ids=["exp", "log"])
 def test_small_argument_values_within_4_ulp(phi):
@@ -86,11 +93,8 @@ def test_small_argument_values_within_4_ulp(phi):
     us = np.concatenate([np.logspace(-300.0, -2.0, 300),
                          np.geomspace(1e-3, 1e-2, 100)])
     got = phi.value(us)
-    for u, value in zip(us.tolist(), got.tolist()):
-        want = _decimal_reference(kind, u)
-        ulps = abs(Decimal(value) - want) / Decimal(math.ulp(float(want)))
-        assert ulps <= 4, (u, value)
-        assert phi.value(u) == value
+    _assert_within_ulps(kind, us, got, 4)
+    assert [phi.value(u) for u in us.tolist()] == got.tolist()
 
 
 @pytest.mark.parametrize("phi", [olk.ExpOrlicz(), olk.LogOrlicz()],
@@ -101,11 +105,7 @@ def test_values_within_2_ulp_up_to_one(phi):
     us = np.concatenate([np.logspace(-300.0, 0.0, 301),
                          np.sort(rng.uniform(2.0**-6, 1.0, 1000)),
                          2.0**-5 * (1.0 + np.arange(-50, 51) * 2.0**-52)])
-    got = phi.value(us)
-    for u, value in zip(us.tolist(), got.tolist()):
-        want = _decimal_reference(kind, u)
-        ulps = abs(Decimal(value) - want) / Decimal(math.ulp(float(want)))
-        assert ulps <= 2, (u, value)
+    _assert_within_ulps(kind, us, phi.value(us), 2)
 
 
 def test_log_values_within_3_ulp_above_one():
@@ -115,11 +115,7 @@ def test_log_values_within_3_ulp_above_one():
     us = np.concatenate([np.geomspace(1.0, 1e300, 601),
                          np.sort(rng.uniform(1.0, 4.0, 1000)),
                          np.exp(rng.uniform(0.0, 690.0, 400))])
-    got = phi.value(us)
-    for u, value in zip(us.tolist(), got.tolist()):
-        want = _decimal_reference("log", u)
-        ulps = abs(Decimal(value) - want) / Decimal(math.ulp(float(want)))
-        assert ulps <= 3, (u, value)
+    _assert_within_ulps("log", us, phi.value(us), 3)
 
 
 @pytest.mark.parametrize("phi, kind, top", [
@@ -134,11 +130,7 @@ def test_young_sides_within_3_ulp(phi, kind, top):
     switch = 1.0 + steps * np.where(steps < 0, 2.0**-53, 2.0**-52)
     us = np.concatenate([np.geomspace(1e-300, top, 601),
                          np.sort(rng.uniform(0.25, 4.0, 400)), switch[::20]])
-    got = phi.young(us)
-    for u, value in zip(us.tolist(), got.tolist()):
-        want = _decimal_reference(kind, u)
-        ulps = abs(Decimal(value) - want) / Decimal(math.ulp(float(want)))
-        assert ulps <= 3, (u, value)
+    _assert_within_ulps(kind, us, phi.young(us), 3)
     assert np.all(np.diff(phi.young(switch)) >= 0.0)
 
 
