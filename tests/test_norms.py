@@ -242,6 +242,110 @@ def test_k_interval_of_a_tiny_measure_step():
     assert ki.attained_norm == pytest.approx(norm, rel=1e-12)
 
 
+# Finite results frozen as float.hex: the Luxemburg and Amemiya norms, the
+# ends and attained norm of K(f), both dual norms on the conjugate and the
+# Orlicz-side functional norm with singular part s.  They were made by
+# running these routines on these instances at commit fe8701f, before the
+# finite and profile solves shared one scaled-modular protocol; the solves
+# run the same kernels on the same c * unit arrays, so no bit may move.
+# The instances cover every family, TabulatedOrlicz on its exact Amemiya
+# path and its linear-tail limit, steps and sequences, ties, and
+# magnitudes near 2^+-900 (s scales with them); a TabulatedOrlicz has no
+# K(f) and no dual norm, so it pins two results.
+BIG, SMALL = 2.0**900, 2.0**-900
+TABULATED = olk.TabulatedOrlicz(((0.0, 0.0), (1.0, 0.5), (3.0, 4.5)))
+FINITE_BITS = [
+    ("power-step", olk.PowerOrlicz(2.5, 0.75), TWO_BREAKPOINTS,
+     olk.StepFunction(((2.0, 1.0), (-3.5, 0.25), (0.75, 2.0))), 0.5,
+     ("0x1.c4122fc1c3510p+1", "0x1.bb0f34322adcdp+2", "0x1.ed0e79e8178efp-3",
+      "0x1.ed0e79e8178efp-3", "0x1.bb0f34322adcdp+2", "0x1.4778402f160e4p+0",
+      "0x1.40f12050e2164p+1", "0x1.99ee8e443a5fdp+0")),
+    ("power-seq-ties", olk.PowerOrlicz(1.5), olk.HarmonicSeqWeight(),
+     olk.FiniteSequence((3.0, -1.25, 1.25, 0.5, 0.0, 1.25, 0.1875)), 0.5,
+     ("0x1.cb2c8ebd8ff9ap+1", "0x1.b1e46d32ae2e4p+2", "0x1.c52053e8d2a83p-2",
+      "0x1.c52053e8d2a83p-2", "0x1.b1e46d32ae2e5p+2", "0x1.1ca1ecc808df6p+1",
+      "0x1.0cf5fc06ae0c9p+2", "0x1.33a4ea6c03e43p+1")),
+    ("exp-step-ties", olk.ExpOrlicz(),
+     olk.StepWeight(((1.0, 2.0), (math.inf, 1.0))),
+     olk.StepFunction(((1.5, 0.5), (0.5, 1.0), (1.5, 0.75), (-0.5, 0.25))),
+     0.5,
+     ("0x1.e1486fc318bfap+0", "0x1.ddbe25f4d9e98p+1", "0x1.ebe92d6671581p-2",
+      "0x1.ebe92d6671581p-2", "0x1.ddbe25f4d9e97p+1", "0x1.b874c6d0ae876p-1",
+      "0x1.b5c76c05b7edap+0", "0x1.2afe28dc6c991p+0")),
+    ("exp-seq", olk.ExpOrlicz(), olk.PowerSeqWeight(0.5),
+     olk.FiniteSequence((0.25, 2.0, -1.0, 0.625)), 0.5,
+     ("0x1.e0255538989c9p+0", "0x1.dab0aff1ba566p+1", "0x1.e3816a22d1398p-2",
+      "0x1.e3816a22d1398p-2", "0x1.dab0aff1ba567p+1", "0x1.881b9d19d6dddp+0",
+      "0x1.84ded38756f21p+1", "0x1.d477e12e62a30p+0")),
+    ("log-step", olk.LogOrlicz(), TWO_BREAKPOINTS,
+     olk.StepFunction(((4.0, 0.125), (1.0, 3.0), (0.0625, 1.0))), 0.5,
+     ("0x1.07aeca13f50a7p+1", "0x1.05d110d57a2bbp+2", "0x1.1dd0e55b1077bp-1",
+      "0x1.1dd0e55b1077bp-1", "0x1.05d110d57a2bap+2", "0x1.3a0ab2f4f3840p+0",
+      "0x1.383a7f768f650p+1", "0x1.7a0ab806cbb09p+0")),
+    ("log-seq-ties", olk.LogOrlicz(), olk.ConstantSeqWeight(0.75),
+     olk.FiniteSequence((2.0, 2.0, 0.5, -2.0, 0.5)), 0.5,
+     ("0x1.e6966baffa8cdp+0", "0x1.e3112f7d333abp+1", "0x1.369d9a88cecb5p-1",
+      "0x1.369d9a88cecb5p-1", "0x1.e3112f7d333abp+1", "0x1.a8b950887db01p+1",
+      "0x1.a5826fc4afe80p+2", "0x1.c5e8989277e9ep+1")),
+    ("flat-zero-step", olk.FlatZeroOrlicz(0.35),
+     olk.StepWeight(((2.0, 1.5), (math.inf, 0.5))),
+     olk.StepFunction(((1.25, 1.0), (0.25, 2.0), (3.0, 0.5))), 0.5,
+     ("0x1.2a08b68f5862ap+1", "0x1.29f37dd11b514p+2", "0x1.ad3dd3ddb549fp-2",
+      "0x1.ad3dd3ddb549fp-2", "0x1.29f37dd11b513p+2", "0x1.59635d2c9d743p+0",
+      "0x1.58f9af998212cp+1", "0x1.a3874f5ea6cb5p+0")),
+    ("flat-zero-seq", olk.FlatZeroOrlicz(0.35),
+     olk.ExplicitSeqWeight((2.0, 1.0, 0.5)),
+     olk.FiniteSequence((1.0, 0.5, 0.25, 2.0)), 0.5,
+     ("0x1.28fb80c0abea8p+1", "0x1.28aff6ea8b7d5p+2", "0x1.a594827507b3cp-2",
+      "0x1.a594827507b3cp-2", "0x1.28aff6ea8b7d4p+2", "0x1.3dfe7b580768fp+0",
+      "0x1.3d643ec58cc56p+1", "0x1.8a5266fa8a65fp+0")),
+    ("tabulated-step", TABULATED, TWO_BREAKPOINTS,
+     olk.StepFunction(((2.0, 1.0), (0.5, 0.5), (2.0, 0.25))), 0.5,
+     ("0x1.a000000000032p+1", "0x1.5000000000000p+2")),
+    ("tabulated-seq", TABULATED, olk.HarmonicSeqWeight(),
+     olk.FiniteSequence((1.0, 0.5, 3.0, 0.5)), 0.5,
+     ("0x1.47777777bb764p+1", "0x1.3955555555555p+2")),
+    ("tabulated-limit",
+     olk.TabulatedOrlicz(((0.0, 0.0), (1.0, 0.5), (2.0, 1.25))),
+     olk.HarmonicSeqWeight(), olk.FiniteSequence((1.0, 0.5)), 0.5,
+     ("0x1.6666666673e32p-1", "0x1.e000000000000p-1")),
+    ("power-seq-big", olk.PowerOrlicz(3.0, 0.5), olk.HarmonicSeqWeight(),
+     olk.FiniteSequence((1.5 * BIG, -BIG, 0.25 * BIG)), 0.5 * BIG,
+     ("0x1.3f498cac8720dp+900", "0x1.2db524f6f65e4p+901",
+      "0x1.45d34ddde6fd5p-901", "0x1.45d34ddde6fd5p-901",
+      "0x1.2db524f6f65e4p+901", "0x1.85372d71f2529p+900",
+      "0x1.6fc91f73fe0c4p+901", "0x1.dee34aa700ff4p+900")),
+    ("exp-step-small", olk.ExpOrlicz(),
+     olk.StepWeight(((1.0, 2.0), (math.inf, 1.0))),
+     olk.StepFunction(((3.0 * SMALL, 0.5), (SMALL, 1.5))), 0.5 * SMALL,
+     ("0x1.653db033ca2b9p-899", "0x1.612bcf2f04484p-898",
+      "0x1.44e6267151e33p+898", "0x1.44e6267151f51p+898",
+      "0x1.612bcf2f04484p-898", "0x1.221b3bc44e1fep-900",
+      "0x1.1fde99d41b130p-899", "0x1.6fc67dd794363p-900")),
+    ("log-seq-big", olk.LogOrlicz(), olk.HarmonicSeqWeight(),
+     olk.FiniteSequence((BIG, 0.5 * BIG, 0.5 * BIG)), 0.5 * BIG,
+     ("0x1.51c96fd1e20b7p+899", "0x1.4e195c6edcc40p+900",
+      "0x1.d135746c35ce2p-900", "0x1.d135746c35ce2p-900",
+      "0x1.4e195c6edcc40p+900", "0x1.39b5b564eead9p+900",
+      "0x1.36b55dc863024p+901", "0x1.77b2060a38205p+900")),
+]
+
+
+@pytest.mark.parametrize("phi, w, f, s, frozen",
+                         [case[1:] for case in FINITE_BITS],
+                         ids=[case[0] for case in FINITE_BITS])
+def test_finite_results_are_frozen(phi, w, f, s, frozen):
+    got = [olk.luxemburg_norm(phi, w, f), olk.orlicz_norm_amemiya(phi, w, f)]
+    if phi.is_n_function:
+        ki = olk.k_interval(phi, w, f)
+        conj = phi.conjugate()
+        got += [ki.lower, ki.upper, ki.attained_norm,
+                olk.dual_luxemburg_norm(conj, w, f),
+                olk.dual_orlicz_norm(conj, w, f),
+                olk.functional_norm_orlicz_side(phi, w, f, s)]
+    assert [x.hex() for x in got] == list(frozen)
+
+
 def test_sequence_norm_anchor(quad_phi):
     # single unit entry, unit weight: same constants as the unit indicator
     w = olk.ConstantSeqWeight(1.0)
