@@ -51,7 +51,7 @@ from . import level as level_mod
 from . import solvers
 from .errors import (ConvergenceError, DomainError, InfeasibleParameterError,
                      NotInSpaceError)
-from .norms import (_check_oracle_size, _finite_modular, _unit_scalings,
+from .norms import (_check_oracle_size, _finite_modular, _finite_scalings,
                     luxemburg_norm, orlicz_norm_amemiya, rho_modular)
 from .profiles import SequenceWeight, StepWeight
 from .rearrange import (FiniteSequence, StepFunction, _split, _step_cuts,
@@ -168,12 +168,11 @@ def P_modular_oracle(phi, weight, h):
 
 def dual_luxemburg_norm(phi, weight, h, *, rel_tol=1e-12):
     """Gauge norm inf{eps : P(h / eps) <= 1} on the dual modular."""
-    P_at, scale = _unit_scalings(*_level_masses(phi, weight, h))
+    P_at, _, scale = _finite_scalings(phi, *_level_masses(phi, weight, h))
     if scale == 0.0:
         return 0.0
     try:
-        return scale * solvers.gauge_norm(lambda c: P_at(phi._value, c),
-                                          rel_tol=rel_tol)
+        return scale * solvers.gauge_norm(P_at, rel_tol=rel_tol)
     except ConvergenceError as exc:
         raise NotInSpaceError("no tested scaling has P <= 1") from exc
 
@@ -181,12 +180,11 @@ def dual_luxemburg_norm(phi, weight, h, *, rel_tol=1e-12):
 def dual_orlicz_norm(phi, weight, h, *, rel_tol=1e-12):
     """Amemiya-form norm inf_k (1 + P(k h)) / k on the dual modular, taken
     where the Young side sum (k R_j p(k R_j) - phi(k R_j)) W_j crosses 1."""
-    P_at, scale = _unit_scalings(*_level_masses(phi, weight, h))
+    P_at, young_at, scale = _finite_scalings(
+        phi, *_level_masses(phi, weight, h))
     if scale == 0.0:
         return 0.0
-    return scale * solvers.amemiya_norm(lambda k: P_at(phi._value, k),
-                                        lambda k: P_at(phi._young, k),
-                                        rel_tol=rel_tol)
+    return scale * solvers.amemiya_norm(P_at, young_at, rel_tol=rel_tol)
 
 
 # ---------------------------------------------------------------------------

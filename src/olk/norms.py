@@ -14,9 +14,15 @@ phi*(p(t)).  Y does not decrease, so the infimum is attained on the compact
 interval K(f) = [k_lower, k_upper] where Y crosses 1 (Hudzik & Maligranda,
 Indag. Math. 2000); `orlicz_norm_amemiya` finds one such k as a root of Y,
 and `k_interval` locates both ends, as roots of the same Y, by two solves
-that share their probes.  For a TabulatedOrlicz on a finite element Y is a
-step function of k, and its crossing of 1 is found exactly, among the k
-where one value meets one knot.
+that share their probes, on a finite element or a profile alike.  For a
+TabulatedOrlicz on a finite element Y is a step function of k, and its
+crossing of 1 is found exactly, among the k where one value meets one
+knot.
+
+Every norm solves on one protocol, built by `_scalings`, the one place
+that tells the kinds of element apart: a scaled modular is called at c,
+keeps each value by c in `seen`, and confirms a probe by `check(c, side)`,
+which for a finite element has nothing to confirm.
 
 Finite elements evaluate exactly as weighted sums.  Each norm lays a finite
 element out once, by `rearrange.finite_layout`: the decreasing values of
@@ -97,6 +103,29 @@ def _finite_modular(psi, values, masses):
         terms = psi(values) * masses
     total = float(np.sum(terms))
     return total if math.isfinite(total) else math.inf
+
+
+class _FiniteModular:
+    """c -> sum psi(c unit) masses by `_finite_modular`, with unit a finite
+    layout's values divided by the largest one and psi an Orlicz kernel,
+    such as phi._value; each value is kept by c in `seen`.
+
+    It has the protocol of a profile's _ProfileModular, so a norm solves
+    both kinds of element alike; a finite sum is exact, so its `check` has
+    nothing to confirm."""
+
+    def __init__(self, psi, unit, masses):
+        self.psi, self.unit, self.masses = psi, unit, masses
+        self.seen = {}
+
+    def __call__(self, c):
+        if c not in self.seen:
+            self.seen[c] = _finite_modular(self.psi, c * self.unit,
+                                           self.masses)
+        return self.seen[c]
+
+    def check(self, c, side=0.0):
+        """Nothing to confirm: the modular at every probe is exact."""
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +344,9 @@ class _ProfileModular:
     growth types growth, on a _ProfileLayout; +inf exactly where
     c theta(f / scale) >= 1, with theta from `_threshold`, read once.
 
-    Each probe keeps its sum at both levels and its outermost terms, so
-    `check` can confirm the ends of a solve's final bracket."""
+    Each probe keeps its sum at both levels and its outermost terms by c
+    in `seen`, so a c probed again is read back, and `check` can confirm
+    the ends of a solve's final bracket."""
 
     def __init__(self, layout, log_psi, growth):
         self.layout, self.log_psi, self.growth = layout, log_psi, growth
@@ -330,16 +360,18 @@ class _ProfileModular:
                                      layout.f) / layout.scale
         if c * self._theta >= 1.0:
             return math.inf
-        log_c = math.log(c)
-        nodes = layout.nodes(log_c)
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = np.exp(self.log_psi(nodes.log_r + (log_c
-                                                       - layout.log_scale))
-                           + nodes.log_mass)
-            fine = float(terms @ nodes.sign)
-            coarse = float(terms @ nodes.coarse)
-        reach = float(np.max(terms[nodes.outer], initial=0.0))
-        self.seen[c] = (fine, coarse, reach, nodes.split)
+        if c not in self.seen:
+            log_c = math.log(c)
+            nodes = layout.nodes(log_c)
+            with np.errstate(over="ignore", invalid="ignore"):
+                terms = np.exp(self.log_psi(nodes.log_r
+                                            + (log_c - layout.log_scale))
+                               + nodes.log_mass)
+                fine = float(terms @ nodes.sign)
+                coarse = float(terms @ nodes.coarse)
+            reach = float(np.max(terms[nodes.outer], initial=0.0))
+            self.seen[c] = (fine, coarse, reach, nodes.split)
+        fine = self.seen[c][0]
         return fine if fine < math.inf else math.inf
 
     def check(self, c, side=0.0):
@@ -396,20 +428,21 @@ def _profile_modular_at_one(layout, log_psi, growth):
     return value
 
 
-def _unit_scalings(values, masses):
-    """(modular_at, scale) with scale = values[0], the largest value, and
-    modular_at(psi, c) = sum psi(c values / scale) masses; scale is 0 for
-    an empty layout.  psi is an Orlicz kernel, such as phi._value.
+def _finite_scalings(phi, values, masses):
+    """(value_at, young_at, scale) for a finite layout (values, masses):
+    _FiniteModulars of the layout divided by scale = values[0], its largest
+    value, under phi._value and phi._young; scale is 0 for an empty layout.
 
     Norms of the layout are scale times norms of the layout divided by
     scale, whose largest value is 1, so every solve starts inside its
     bracket at any magnitude, and each solver step is one weighted sum.
     """
     if values.size == 0:
-        return None, 0.0
+        return None, None, 0.0
     scale = float(values[0])
     unit = values / scale
-    return (lambda psi, c: _finite_modular(psi, c * unit, masses)), scale
+    return (_FiniteModular(phi._value, unit, masses),
+            _FiniteModular(phi._young, unit, masses), scale)
 
 
 def _profile_scale(f):
@@ -420,33 +453,32 @@ def _profile_scale(f):
     return float(f.rearranged_value(min(1.0, 0.5 * f.support_measure)))
 
 
-def _scalings(phi, weight, f, layout):
+def _scalings(phi, weight, f):
     """(value_at, young_at, scale): the modulars of c f / scale under phi
     and under its Young side t p(t) - phi(t), as functions of c, with scale
-    0 for the zero element; layout is _finite_layout(weight, f).
+    0 for the zero element.  This is the one place that tells a finite
+    element from a profile; the norms call both kinds alike, and confirm a
+    solve's final bracket by `check`.
 
-    A finite element is laid out once and probed through the kernels
-    phi._value and phi._young.  A profile is laid out once on its DE nodes,
-    with scale a representative value of f, so its solves too start near
-    the answer at any magnitude, and probed through the log kernels
-    phi._log_value and phi._log_young; each is a _ProfileModular, whose
-    final bracket the norms confirm by its `check`.
+    A finite element is laid out once by `_finite_layout` and probed
+    through the kernels phi._value and phi._young (`_finite_scalings`).  A
+    profile is laid out once on its DE nodes, with scale a representative
+    value of f, so its solves too start near the answer at any magnitude,
+    and probed through the log kernels phi._log_value and phi._log_young,
+    each a _ProfileModular.
     """
-    if layout is None:
-        nodes = _ProfileLayout(phi, weight, f)
-        return (_ProfileModular(nodes, phi._log_value, phi.growth),
-                _ProfileModular(nodes, phi._log_young, phi.young_growth),
-                nodes.scale)
-    finite_at, scale = _unit_scalings(layout.values, layout.w_masses)
-    value, young = phi._value, phi._young
-    return (lambda c: finite_at(value, c), lambda c: finite_at(young, c),
-            scale)
+    layout = _finite_layout(weight, f)
+    if layout is not None:
+        return _finite_scalings(phi, layout.values, layout.w_masses)
+    nodes = _ProfileLayout(phi, weight, f)
+    return (_ProfileModular(nodes, phi._log_value, phi.growth),
+            _ProfileModular(nodes, phi._log_young, phi.young_growth),
+            nodes.scale)
 
 
 def luxemburg_norm(phi, weight, f, *, rel_tol=1e-10):
     """Gauge norm inf{eps : modular(f / eps) <= 1}."""
-    layout = _finite_layout(weight, f)
-    value_at, _, scale = _scalings(phi, weight, f, layout)
+    value_at, _, scale = _scalings(phi, weight, f)
     if scale == 0.0:
         return 0.0
     try:
@@ -456,7 +488,7 @@ def luxemburg_norm(phi, weight, f, *, rel_tol=1e-10):
     except ConvergenceError as exc:
         raise NotInSpaceError(
             "no tested scaling has modular <= 1") from exc
-    if layout is None and eps > 0.0:
+    if eps > 0.0:
         # the modular is <= 1 at c = 1 / eps and > 1 at the next probe above
         value_at.check(1.0 / eps, 1.0)
     return scale * eps
@@ -473,12 +505,12 @@ def orlicz_norm_amemiya(phi, weight, f, *, rel_tol=1e-10):
     side is a step function of k, and `_tabulated_amemiya` finds the k
     where it crosses 1 exactly.
     """
-    layout = _finite_layout(weight, f)
-    if layout is not None and isinstance(phi, TabulatedOrlicz):
-        return _tabulated_amemiya(phi, layout.values, layout.w_masses)
-    value_at, young_at, scale = _scalings(phi, weight, f, layout)
+    value_at, young_at, scale = _scalings(phi, weight, f)
     if scale == 0.0:
         return 0.0
+    if isinstance(phi, TabulatedOrlicz) and isinstance(value_at,
+                                                       _FiniteModular):
+        return _tabulated_amemiya(phi, value_at, scale)
     try:
         value = solvers.amemiya_norm(value_at, young_at, rel_tol=rel_tol)
     except UndecidedError:
@@ -494,36 +526,32 @@ def orlicz_norm_amemiya(phi, weight, f, *, rel_tol=1e-10):
             value_at.layout, lambda log_u: log_u, phi.growth)
     if math.isinf(value):
         raise NotInSpaceError("no tested scaling has a finite modular")
-    if layout is None:
-        # the objective was read at the root's satisfying end k, and maybe
-        # at the end below it; the Young side is >= 1 at k, < 1 below
-        for k in value_at.seen:
-            value_at.check(k)
-        young_at.check(max(value_at.seen), -1.0)
+    # the objective was read at the root's satisfying end k, and maybe at
+    # the end below it; the Young side is >= 1 at k, < 1 below
+    for k in value_at.seen:
+        value_at.check(k)
+    young_at.check(max(value_at.seen), -1.0)
     return scale * value
 
 
-def _tabulated_amemiya(phi, values, masses):
-    """The Amemiya norm of the layout (values, masses) under a
-    TabulatedOrlicz, with one modular evaluation.
+def _tabulated_amemiya(phi, value_at, scale):
+    """The Amemiya norm of a finite layout under a TabulatedOrlicz, with
+    one modular evaluation; value_at is the layout's _FiniteModular, whose
+    values u are the layout's divided by its largest one, scale.
 
     On [t_j, t_{j+1}) the Young side t p(t) - phi(t) is the constant
     b_j = s_j t_j - y_j (phi._young_steps), with s_j the slope there (the
-    last slope beyond the last knot), so Y(k) = sum b_{j(k u_i)} m_i, with
-    u the values divided by the largest one, is a right-continuous step
-    function that jumps by (b_j - b_{j-1}) m_i at k = t_j / u_i.  The
-    objective falls while Y < 1 and does not fall after, so its minimum
-    sits at the first crossing where the running sum of the sorted jumps
-    reaches 1.  When no finite crossing reaches 1 the objective falls for
-    ever, to its limit b sum v m, with b the final slope.
+    last slope beyond the last knot), so Y(k) = sum b_{j(k u_i)} m_i is a
+    right-continuous step function that jumps by (b_j - b_{j-1}) m_i at
+    k = t_j / u_i.  The objective falls while Y < 1 and does not fall
+    after, so its minimum sits at the first crossing where the running sum
+    of the sorted jumps reaches 1.  When no finite crossing reaches 1 the
+    objective falls for ever, to its limit b sum v m, with b the final
+    slope.
     """
-    if values.size == 0:
-        return 0.0
-    scale = float(values[0])
-    unit = values / scale
-    ts = phi._ts
+    unit, masses = value_at.unit, value_at.masses
     with np.errstate(over="ignore"):
-        crossings = (ts[1:, None] / unit).ravel()
+        crossings = (phi._ts[1:, None] / unit).ravel()
     jumps = (np.diff(phi._young_steps)[:, None] * masses).ravel()
     # for each knot the crossings rise along the decreasing values, so the
     # stable sort merges ts.size - 1 sorted runs
@@ -532,7 +560,7 @@ def _tabulated_amemiya(phi, values, masses):
     k = float(crossings[order[reached[0]]]) if reached.size else math.inf
     if math.isinf(k):
         return scale * float(phi._slopes[-1]) * float(np.sum(unit * masses))
-    return scale * (1.0 + _finite_modular(phi._value, k * unit, masses)) / k
+    return scale * (1.0 + value_at(k)) / k
 
 
 @dataclass(frozen=True)
@@ -547,33 +575,33 @@ class KInterval:
 def k_interval(phi, weight, f):
     """K(f) = [k_lower, k_upper] for an N-function: where the Young side
     Y(k), the modular of k f under t p(t) - phi(t), turns >= 1 and > 1,
-    each located by the root-finder on the layout divided by its largest
-    value.
+    each located by the root-finder on f divided by its scale, for a
+    finite element or a profile alike.
 
     The two solves walk the same probes until one meets a k where Y is
-    exactly 1, so its values are kept by k and the strict solve
-    evaluates it only where its path leaves the first one's."""
+    exactly 1; young_at keeps its values by k, so the strict solve
+    evaluates Y only where its path leaves the first one's.  On a profile
+    both final ends and the midpoint, where the attained norm is read, are
+    confirmed by `check`."""
     if not phi.is_n_function:
         raise DomainError("K(f) requires an N-function")
-    layout = _finite_layout(weight, f)
-    if layout is None:
-        raise DomainError("K(f) is computed for finite elements")
-    modular_at, scale = _unit_scalings(layout.values, layout.w_masses)
+    value_at, young_at, scale = _scalings(phi, weight, f)
     if scale == 0.0:
         raise DomainError("K(f) is undefined for the zero element")
-    seen = {}
 
     def log_young_side(k):
-        if k not in seen:
-            total = modular_at(phi._young, k)
-            seen[k] = math.log(total) if total > 0.0 else -math.inf
-        return seen[k]
+        return solvers._log(young_at(k))
 
     _, lower = solvers.increasing_root(log_young_side, rel_tol=1e-13)
+    if lower == 0.0:
+        raise NotInSpaceError("no tested scaling has a finite modular")
     _, upper = solvers.increasing_root(log_young_side, rel_tol=1e-13,
                                        strict=True)
     mid = 0.5 * (lower + upper)
-    modular = modular_at(phi._value, mid)
+    modular = value_at(mid)
+    for end in (lower, upper):
+        young_at.check(end, -1.0)
+    value_at.check(mid)
     return KInterval(lower / scale, upper / scale,
                      scale * (1.0 + modular) / mid)
 
@@ -582,11 +610,13 @@ def amemiya_pairing_report(phi, weight, f):
     """Diagnostics tying the Orlicz norm to the pairing with p(k f*).
 
     Returns the attained scaling k, the weighted pairing
-    sum f* p(k f*) w  (equal to the norm), and the Amemiya values.
+    sum f* p(k f*) w  (equal to the norm), and the Amemiya values.  It is
+    computed for finite elements: DomainError for a profile, before any
+    solve.
     """
+    layout = finite_layout(f.rearranged(), weight)
     ki = k_interval(phi, weight, f)
     k = 0.5 * (ki.lower + ki.upper)
-    layout = _finite_layout(weight, f)
     values = layout.values
     slopes = phi.derivative(k * values)
     weighted = float(np.sum(values * slopes * layout.w_masses))

@@ -118,6 +118,22 @@ def test_kinterval_command(capsys, unit_space_file, unit_element_file):
                                                      rel=1e-9)
 
 
+def test_kinterval_command_on_a_profile(capsys, tmp_path):
+    space, elem = tmp_path / "space.json", tmp_path / "tail.json"
+    space.write_text(json.dumps({
+        "setting": "function", "phi": {"family": "power", "r": 3.0},
+        "weight": {"kind": "power", "beta": 0.25}}))
+    elem.write_text(json.dumps({"kind": "log_tail", "amplitude": 0.5}))
+    code, out, _ = run_cli(capsys, "kinterval", "--space", str(space),
+                           "--element", str(elem))
+    assert code == 0
+    payload = json.loads(out)
+    ki = olk.k_interval(olk.PowerOrlicz(3.0), olk.PowerWeight(0.25),
+                        olk.LogTailProfile(0.5))
+    assert [payload[k] for k in ("lower", "upper", "attained_norm")] == \
+        [ki.lower, ki.upper, ki.attained_norm]
+
+
 def test_theta_command_finite_support(capsys, space_file, element_file):
     code, out, _ = run_cli(capsys, "theta", "--space", space_file,
                            "--element", element_file)

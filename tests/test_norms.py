@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 import olk
 from olk import solvers
 from olk.errors import DomainError, NotInSpaceError, UndecidedError
-from olk.norms import _unit_scalings
 from olk.profiles import DecreasingProfile
 from olk.rearrange import finite_layout
 
@@ -184,15 +183,21 @@ def test_k_interval_anchor(quad_phi, lebesgue_weight):
 
 
 class _CountedPower(olk.PowerOrlicz):
-    """A PowerOrlicz recording the argument of each call of its Young side."""
+    """A PowerOrlicz recording the argument of each call of its Young side,
+    and counting the calls of its log kernel, one per profile probe."""
 
     def __post_init__(self):
         super().__post_init__()
         self.calls = []
+        self.log_calls = 0
 
     def young(self, u):
         self.calls.append(np.asarray(u).tolist())
         return super().young(u)
+
+    def _log_young(self, log_u):
+        self.log_calls += 1
+        return super()._log_young(log_u)
 
 
 @pytest.mark.parametrize("exponent, scale, w, f, meets_one", [
@@ -205,15 +210,17 @@ class _CountedPower(olk.PowerOrlicz):
 ])
 def test_k_interval_strict_solve_reuses_the_first_solves_probes(
         exponent, scale, w, f, meets_one):
-    # the two solves, unmemoised, on the Young side
+    # the two solves, unmemoised, on the Young side sum young(k v / v_0) m
+    # of the layout, in plain NumPy
     layout = finite_layout(f.rearranged(), w)
-    modular_at, unit_scale = _unit_scalings(layout.values, layout.w_masses)
+    unit_scale = float(layout.values[0])
+    unit = layout.values / unit_scale
     solves = []
     for strict in (False, True):
         counted = _CountedPower(exponent, scale)
 
         def log_young_side(k):
-            total = modular_at(counted.young, k)
+            total = float(np.sum(counted.young(k * unit) * layout.w_masses))
             return math.log(total) if total > 0.0 else -math.inf
         bracket = solvers.increasing_root(log_young_side, rel_tol=1e-13,
                                           strict=strict)
@@ -228,6 +235,73 @@ def test_k_interval_strict_solve_reuses_the_first_solves_probes(
     assert len(phi.calls) == len(distinct)
     assert ki.lower == first[1] / unit_scale
     assert ki.upper == second[1] / unit_scale
+
+
+def test_k_interval_on_a_profile_reuses_the_first_solves_probes(
+        monkeypatch):
+    # the Young side of a profile keeps its sums by k, so the strict solve,
+    # which here walks the first one's probes again, evaluates none anew
+    probes = []
+    real = solvers.increasing_root
+
+    def recording(fn, **kwargs):
+        def logged(c):
+            probes.append(c)
+            return fn(c)
+        return real(logged, **kwargs)
+
+    monkeypatch.setattr(solvers, "increasing_root", recording)
+    phi = _CountedPower(2.0, 1.0)
+    olk.k_interval(phi, olk.PowerWeight(0.0), olk.LogTailProfile(1.0))
+    assert phi.log_calls == len(set(probes)) < len(probes)
+
+
+# K(f) of a profile under c u^p: the Young side is (p - 1) phi, so
+# Y(k) = (p - 1) k^p rho(f) and both ends are ((p - 1) rho(f))^(-1/p)
+PROFILES_IN_SPACE = [
+    (olk.PowerWeight(0.0), olk.LogTailProfile(0.5)),
+    (olk.PowerWeight(0.0), olk.LogTailProfile(1.0)),
+    (olk.HarmonicSeqWeight(), olk.PowerSeqTail(1.0)),
+]
+PROFILE_IDS = ["log-tail-0.5", "log-tail-1", "power-seq-tail-1"]
+
+
+@pytest.mark.parametrize("exponent", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("w, f", PROFILES_IN_SPACE, ids=PROFILE_IDS)
+def test_k_interval_of_a_profile_under_a_power_is_the_closed_form(
+        exponent, w, f):
+    phi = olk.PowerOrlicz(exponent)
+    ki = olk.k_interval(phi, w, f)
+    want = ((exponent - 1.0) * olk.rho_modular(phi, w, f))**(-1.0 / exponent)
+    assert ki.lower == pytest.approx(want, rel=1e-12)
+    assert ki.upper == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("phi", [olk.ExpOrlicz(), olk.LogOrlicz()],
+                         ids=["exp", "log"])
+@pytest.mark.parametrize("w, f", PROFILES_IN_SPACE + [
+    (olk.HarmonicSeqWeight(), olk.LogSeqTail(1.0)),
+    (TWO_BREAKPOINTS,
+     olk.BandRestriction(olk.PowerTailProfile(0.75, 0.8), 0.25, 2.0)),
+], ids=PROFILE_IDS + ["log-seq-tail-1", "band"])
+def test_k_interval_of_a_profile_attains_the_orlicz_norm(phi, w, f):
+    ki = olk.k_interval(phi, w, f)
+    assert ki.attained_norm == pytest.approx(
+        olk.orlicz_norm_amemiya(phi, w, f), rel=1e-10)
+
+
+@pytest.mark.parametrize("w, f", [
+    # Y is +inf at every k: t^-0.3 squared is not integrable at infinity,
+    # and neither is (1 / log i)^2 against i^-0.5
+    (olk.PowerWeight(0.0), olk.PowerTailProfile(0.3)),
+    (olk.PowerSeqWeight(0.5), olk.LogSeqTail(1.0)),
+], ids=["power-tail", "log-seq-tail"])
+def test_k_interval_of_a_profile_outside_the_space_is_not_in_space(w, f):
+    phi = olk.PowerOrlicz(2.0)
+    for norm in (olk.orlicz_norm_amemiya, olk.k_interval):
+        with pytest.raises(NotInSpaceError,
+                           match="no tested scaling has a finite modular"):
+            norm(phi, w, f)
 
 
 def test_k_interval_of_a_tiny_measure_step():
@@ -867,6 +941,18 @@ def test_pairing_report_identity(quad_phi, lebesgue_weight):
         report["amemiya_at_k"], rel=1e-6)
     assert set(report) == {"k", "weighted_pairing", "amemiya_at_k",
                            "orlicz_norm", "attained_norm"}
+
+
+def test_pairing_report_is_for_finite_elements(monkeypatch):
+    # the pairing reads the finite layout, so a profile is refused before
+    # any solve runs
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(solvers, "increasing_root", no_solve)
+    with pytest.raises(DomainError, match="expected a finite element"):
+        olk.amemiya_pairing_report(olk.PowerOrlicz(2.0), olk.PowerWeight(0.0),
+                                   olk.LogTailProfile(1.0))
 
 
 def test_dual_sup_oracle_matches_amemiya(quad_phi):
