@@ -508,8 +508,8 @@ def orlicz_norm_amemiya(phi, weight, f, *, rel_tol=1e-10):
     value_at, young_at, scale = _scalings(phi, weight, f)
     if scale == 0.0:
         return 0.0
-    if isinstance(phi, TabulatedOrlicz) and isinstance(value_at,
-                                                       _FiniteModular):
+    if (isinstance(phi, TabulatedOrlicz)
+            and isinstance(value_at, _FiniteModular)):
         return _tabulated_amemiya(phi, value_at, scale)
     try:
         value = solvers.amemiya_norm(value_at, young_at, rel_tol=rel_tol)
